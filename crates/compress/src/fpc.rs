@@ -35,8 +35,8 @@ pub fn encode(data: &[f64], out: &mut Vec<u8>) {
         }
         let code = if lzb == 8 { 7 } else { lzb };
         let tail_bytes = 8 - lzb.min(8);
-        w.write_bits(sel, 1);
-        w.write_bits(code as u64, 3);
+        // The 1-bit selector, then the 3-bit code, as one 4-bit run.
+        w.write_bits(sel | (code as u64) << 1, 4);
         if tail_bytes > 0 {
             w.write_bits(resid, (tail_bytes * 8) as u32);
         }
@@ -112,8 +112,9 @@ pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<(), FpcError> {
     let mut last = 0u64;
     let mut last2 = 0u64;
     for slot in out.iter_mut() {
-        let sel = r.read_bits(1)?;
-        let code = r.read_bits(3)? as usize;
+        let header = r.read_bits(4)?;
+        let sel = header & 1;
+        let code = (header >> 1) as usize;
         let lzb = if code == 7 { 8 } else { code };
         let tail_bytes = 8 - lzb;
         let resid = if tail_bytes > 0 {

@@ -5,12 +5,25 @@
 //! most a few tens of thousands of symbols, heavily skewed toward the center
 //! code. Code lengths are depth-limited (frequency halving) so the decoder
 //! can use fixed-width tables.
+//!
+//! The coding stage is table-driven: encode writes a precomputed,
+//! bit-reversed code in one [`BitWriter::write_bits`] call, and decode
+//! resolves every code of up to [`TABLE_BITS`] bits with one lookup on the
+//! next stream bits; only longer codes fall back to a scan over the
+//! canonical per-length code ranges. Both produce exactly the bits (and
+//! decode errors) of a plain bit-serial coder, so the wire format does not
+//! depend on which path ran.
 
 use crate::bitstream::{BitReader, BitWriter, BitstreamOverrun};
 use crate::varint;
 
 /// Maximum code length in bits.
 pub const MAX_CODE_LEN: u8 = 32;
+
+/// Widest decode table: codes up to this many bits resolve in one lookup.
+/// An alphabet whose longest code is shorter gets a table only that wide,
+/// so a near-constant chunk does not pay for 2^11 entries per decode.
+pub const TABLE_BITS: u32 = 11;
 
 /// Builds Huffman code lengths for `(symbol, count)` pairs (counts > 0).
 /// Returns `(symbol, length)` pairs. A single-symbol alphabet gets length 1.
@@ -124,8 +137,11 @@ fn huffman_lengths(counts: &[u64]) -> Vec<u8> {
 /// `(symbol, length)` pairs.
 #[derive(Debug, Clone)]
 pub struct CanonicalCode {
-    /// Encode table: indexed by symbol, `(code, len)`; len 0 = absent.
+    /// Encode table: indexed by `symbol - enc_base`, `(code, len)` with the
+    /// code's bits reversed into stream order; len 0 = absent.
     enc: Vec<(u32, u8)>,
+    /// Smallest symbol in the alphabet.
+    enc_base: u32,
     /// For each length 1..=MAX: the first canonical code of that length.
     first_code: [u32; MAX_CODE_LEN as usize + 1],
     /// For each length: offset into `sorted_syms` of its first symbol.
@@ -134,6 +150,14 @@ pub struct CanonicalCode {
     count: [u32; MAX_CODE_LEN as usize + 1],
     /// Symbols sorted by (length, symbol).
     sorted_syms: Vec<u32>,
+    /// Decode table indexed by the next `table_bits` stream bits: the
+    /// `(symbol, len)` whose code prefixes them; len 0 = no code of at most
+    /// `table_bits` bits does.
+    table: Vec<(u32, u8)>,
+    /// `min(TABLE_BITS, longest code length)`.
+    table_bits: u32,
+    /// Every code is `table_bits` long.
+    uniform: bool,
 }
 
 /// Errors from canonical-code construction or decoding.
@@ -193,10 +217,6 @@ impl CanonicalCode {
             code = (code + count[l - 1]) << 1;
             first_code[l] = code;
         }
-        // Symbols sorted by (length, symbol).
-        let mut sorted: Vec<(u32, u8)> = lengths.to_vec();
-        sorted.sort_by_key(|&(s, l)| (l, s));
-        let sorted_syms: Vec<u32> = sorted.iter().map(|&(s, _)| s).collect();
         let mut offset = [0u32; MAX_CODE_LEN as usize + 1];
         {
             let mut acc = 0u32;
@@ -205,54 +225,123 @@ impl CanonicalCode {
                 acc += count[l];
             }
         }
-        // Encode table.
-        let max_sym = lengths.iter().map(|&(s, _)| s).max().expect("non-empty") as usize;
-        let mut enc = vec![(0u32, 0u8); max_sym + 1];
+        // Symbols sorted by (length, symbol): bucket by length, then sort
+        // each bucket (already in order when the caller lists symbols
+        // ascending, as serialized tables and `lengths_from_symbols` do).
+        let mut sorted_syms = vec![0u32; lengths.len()];
         {
-            let mut next = first_code;
-            for &(s, l) in &sorted {
-                if enc[s as usize].1 != 0 {
+            let mut fill = offset;
+            for &(s, l) in lengths {
+                sorted_syms[fill[l as usize] as usize] = s;
+                fill[l as usize] += 1;
+            }
+        }
+        // Encode and decode tables. Codes go on the wire MSB-first, so in
+        // the LSB-first stream a code reads back bit-reversed.
+        let enc_base = lengths.iter().map(|&(s, _)| s).min().expect("non-empty");
+        let max_sym = lengths.iter().map(|&(s, _)| s).max().expect("non-empty");
+        let max_len = (1..=MAX_CODE_LEN).rev().find(|&l| count[l as usize] > 0);
+        let table_bits = (max_len.expect("lengths are non-empty") as u32).min(TABLE_BITS);
+        let uniform = count[table_bits as usize] as usize == lengths.len();
+        let mut enc = vec![(0u32, 0u8); (max_sym - enc_base) as usize + 1];
+        let mut table = vec![(0u32, 0u8); 1 << table_bits];
+        for l in 1..=MAX_CODE_LEN {
+            let start = offset[l as usize] as usize;
+            let bucket = &mut sorted_syms[start..start + count[l as usize] as usize];
+            bucket.sort_unstable();
+            for (k, &s) in bucket.iter().enumerate() {
+                let slot = &mut enc[(s - enc_base) as usize];
+                if slot.1 != 0 {
                     return Err(HuffmanError::InvalidLengths); // duplicate symbol
                 }
-                enc[s as usize] = (next[l as usize], l);
-                next[l as usize] += 1;
+                let code = first_code[l as usize] + k as u32;
+                let reversed = code.reverse_bits() >> (32 - l as u32);
+                *slot = (reversed, l);
+                if l as u32 <= table_bits {
+                    for entry in table.iter_mut().skip(reversed as usize).step_by(1 << l) {
+                        *entry = (s, l);
+                    }
+                }
             }
         }
         Ok(CanonicalCode {
             enc,
+            enc_base,
             first_code,
             offset,
             count,
             sorted_syms,
+            table,
+            table_bits,
+            uniform,
         })
     }
 
     /// Encodes one symbol (must be in the alphabet).
     #[inline]
     pub fn encode(&self, w: &mut BitWriter, symbol: u32) {
-        let (code, len) = self.enc[symbol as usize];
+        let (reversed, len) = self.enc[(symbol - self.enc_base) as usize];
         debug_assert!(len > 0, "symbol {symbol} not in alphabet");
-        // MSB-first within the code.
-        for i in (0..len).rev() {
-            w.write_bit((code >> i) & 1 == 1);
-        }
+        w.write_bits(reversed as u64, len as u32);
     }
 
     /// Decodes one symbol.
+    ///
+    /// # Errors
+    /// [`HuffmanError::Truncated`] if the stream ends mid-code,
+    /// [`HuffmanError::BadCode`] if no code prefixes the next
+    /// [`MAX_CODE_LEN`] bits. The reader's position after an error is
+    /// unspecified.
+    #[inline(always)]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
-        let mut code = 0u32;
-        for len in 1..=MAX_CODE_LEN as usize {
-            code = (code << 1) | r.read_bit()? as u32;
-            let c = self.count[len];
-            if c > 0 {
-                let first = self.first_code[len];
-                if code >= first && code - first < c {
-                    let idx = self.offset[len] + (code - first);
-                    return Ok(self.sorted_syms[idx as usize]);
-                }
+        let window = r.peek_word();
+        // Shortcuts whose code length is known before the table load, so a
+        // predicted branch lets the next lookup start without waiting for
+        // it: the all-zero 1-bit code of a dominant symbol, and alphabets
+        // whose codes all have the table's width.
+        if self.count[1] == 1 && window & 1 == 0 {
+            r.skip_bits(1)?;
+            return Ok(self.sorted_syms[0]);
+        }
+        let (symbol, len) = self.table[(window & ((1u64 << self.table_bits) - 1)) as usize];
+        if self.uniform && len > 0 {
+            r.skip_bits(self.table_bits)?;
+            return Ok(symbol);
+        }
+        if len > 0 {
+            r.skip_bits(len as u32)?;
+            return Ok(symbol);
+        }
+        let (symbol, len) = self.decode_long(window, r.remaining_bits())?;
+        r.skip_bits(len)?;
+        Ok(symbol)
+    }
+
+    /// Resolves a code longer than the table from `window`, the next stream
+    /// bits, and returns `(symbol, code length)`. Canonical codes fill the
+    /// 32-bit left-justified code space in order of length, so the code is
+    /// the first length whose range end lies above the next 32 stream bits
+    /// read MSB-first. No code of at most `table_bits` bits prefixes the
+    /// stream here. The errors match a bit-by-bit walk: no code at all with
+    /// fewer than `MAX_CODE_LEN` of the `remaining` bits left is
+    /// `Truncated`, otherwise `BadCode`; a code that runs past the end is
+    /// caught by the caller's skip.
+    #[cold]
+    fn decode_long(&self, window: u64, remaining: usize) -> Result<(u32, u32), HuffmanError> {
+        let next = (window as u32).reverse_bits() as u64;
+        for len in self.table_bits as usize + 1..=MAX_CODE_LEN as usize {
+            let shift = MAX_CODE_LEN as usize - len;
+            let end = (self.first_code[len] as u64 + self.count[len] as u64) << shift;
+            if next < end {
+                let idx = self.offset[len] + ((next >> shift) as u32 - self.first_code[len]);
+                return Ok((self.sorted_syms[idx as usize], len as u32));
             }
         }
-        Err(HuffmanError::BadCode)
+        if remaining < MAX_CODE_LEN as usize {
+            Err(HuffmanError::Truncated)
+        } else {
+            Err(HuffmanError::BadCode)
+        }
     }
 
     /// Serializes the `(symbol, length)` table compactly.
@@ -295,25 +384,195 @@ impl CanonicalCode {
     }
 }
 
-/// Convenience: builds lengths from a symbol iterator's frequencies
-/// (sorted by symbol) — the common path for codec implementations.
-pub fn lengths_from_symbols(symbols: impl Iterator<Item = u32>) -> Vec<(u32, u8)> {
-    use std::collections::BTreeMap;
-    let mut freqs: BTreeMap<u32, u64> = BTreeMap::new();
-    for s in symbols {
-        *freqs.entry(s).or_insert(0) += 1;
-    }
-    assert!(!freqs.is_empty(), "no symbols");
-    let pairs: Vec<(u32, u64)> = freqs.into_iter().collect();
+/// Widest symbol range counted in a dense array; wider alphabets count into
+/// a sorted map. The SZ quantization alphabet spans at most 2^16.
+const DENSE_COUNT_SPAN: usize = 1 << 17;
+
+/// Convenience: builds lengths from the symbols' frequencies (pairs sorted
+/// by symbol) — the common path for codec implementations.
+///
+/// # Panics
+/// Panics if `symbols` is empty.
+pub fn lengths_from_symbols(symbols: &[u32]) -> Vec<(u32, u8)> {
+    let lo = *symbols.iter().min().expect("no symbols");
+    let hi = *symbols.iter().max().expect("no symbols");
+    let span = (hi - lo) as usize + 1;
+    let pairs: Vec<(u32, u64)> = if span <= DENSE_COUNT_SPAN {
+        let mut counts = vec![0u64; span];
+        for &s in symbols {
+            counts[(s - lo) as usize] += 1;
+        }
+        (lo..=hi).zip(counts).filter(|&(_, c)| c > 0).collect()
+    } else {
+        let mut freqs = std::collections::BTreeMap::<u32, u64>::new();
+        for &s in symbols {
+            *freqs.entry(s).or_insert(0) += 1;
+        }
+        freqs.into_iter().collect()
+    };
     build_code_lengths(&pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-serial canonical decoder the table decoder replaced: the
+    /// reference it must agree with, symbol for symbol and error for error.
+    fn ref_decode(code: &CanonicalCode, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
+        let mut c = 0u32;
+        for len in 1..=MAX_CODE_LEN as usize {
+            c = (c << 1) | r.read_bit()? as u32;
+            let count = code.count[len];
+            if count > 0 {
+                let first = code.first_code[len];
+                if c >= first && c - first < count {
+                    return Ok(code.sorted_syms[(code.offset[len] + (c - first)) as usize]);
+                }
+            }
+        }
+        Err(HuffmanError::BadCode)
+    }
+
+    /// `(symbol, length)` alphabets: a single symbol, a staircase of lengths
+    /// 1, 2, ..., 32, 32 (complete when all 33 symbols are drawn), equal
+    /// lengths (complete or not), or random lengths in 1..=32 trimmed to
+    /// satisfy Kraft (so often underfull).
+    fn alphabet() -> impl Strategy<Value = Vec<(u32, u8)>> {
+        (
+            0u8..7,
+            prop::collection::vec((1u32..3000, 1u8..=32, any::<bool>()), 1..300),
+        )
+            .prop_map(|(kind, raw)| {
+                let mut sym = 0u32;
+                let mut pairs: Vec<(u32, u8)> = raw
+                    .iter()
+                    .map(|&(gap, len, short)| {
+                        sym += gap;
+                        // Half the symbols get short codes, so the table
+                        // path and the long-code walk both run.
+                        (sym, if short { len.div_ceil(3) } else { len })
+                    })
+                    .collect();
+                match kind {
+                    0 => vec![(pairs[0].0, 1)],
+                    1 => (1..=MAX_CODE_LEN)
+                        .chain([MAX_CODE_LEN])
+                        .zip(&pairs)
+                        .map(|(l, &(s, _))| (s, l))
+                        .collect(),
+                    2 => {
+                        let l = pairs[0].1.min(TABLE_BITS as u8);
+                        pairs.truncate(1 << l);
+                        pairs.iter().map(|&(s, _)| (s, l)).collect()
+                    }
+                    _ => {
+                        pairs.sort_by_key(|&(s, l)| (l, s));
+                        let mut kraft = 0u64;
+                        pairs.retain(|&(_, l)| {
+                            let weight = 1u64 << (MAX_CODE_LEN - l);
+                            let fits = kraft + weight <= 1u64 << MAX_CODE_LEN;
+                            kraft += if fits { weight } else { 0 };
+                            fits
+                        });
+                        pairs.sort_unstable();
+                        pairs
+                    }
+                }
+            })
+    }
+
+    /// Decodes up to `n` symbols with both decoders; they must agree on
+    /// every symbol and on the first error. Returns the decoded symbols.
+    fn decode_both(code: &CanonicalCode, bytes: &[u8], n: usize) -> Result<Vec<u32>, String> {
+        let mut fast = BitReader::new(bytes);
+        let mut slow = BitReader::new(bytes);
+        let mut out = Vec::new();
+        for i in 0..n {
+            let (a, b) = (code.decode(&mut fast), ref_decode(code, &mut slow));
+            if a != b {
+                return Err(format!("symbol {i}: table {a:?}, bit-serial {b:?}"));
+            }
+            match a {
+                Ok(s) => out.push(s),
+                Err(_) => break,
+            }
+        }
+        Ok(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn table_decoder_agrees_with_bit_serial_walk(
+            lengths in alphabet(),
+            picks in prop::collection::vec(any::<u32>(), 1..400),
+            flips in prop::collection::vec(any::<u32>(), 0..4),
+            cut in any::<u32>(),
+        ) {
+            let code = CanonicalCode::from_lengths(&lengths).expect("Kraft-valid lengths");
+            let message: Vec<u32> = picks
+                .iter()
+                .map(|&p| lengths[p as usize % lengths.len()].0)
+                .collect();
+            let mut w = BitWriter::new();
+            for &s in &message {
+                code.encode(&mut w, s);
+            }
+            let bytes = w.into_bytes();
+            let back = decode_both(&code, &bytes, message.len())?;
+            prop_assert_eq!(&back, &message);
+
+            // The code depends on the lengths, not on the order they come in.
+            let mut reordered = lengths.clone();
+            reordered.reverse();
+            let same = CanonicalCode::from_lengths(&reordered).expect("same lengths");
+            let mut w = BitWriter::new();
+            for &s in &message {
+                same.encode(&mut w, s);
+            }
+            prop_assert_eq!(&w.into_bytes(), &bytes);
+
+            // Bit flips and truncation: the decoders still agree, and every
+            // failure is a typed error, never a panic or an overread.
+            let mut damaged = bytes.clone();
+            for &f in &flips {
+                if !damaged.is_empty() {
+                    let bit = f as usize % (damaged.len() * 8);
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            damaged.truncate(cut as usize % (bytes.len() + 1));
+            decode_both(&code, &damaged, message.len() + 8)?;
+        }
+
+        #[test]
+        fn table_decoder_agrees_on_garbage_streams(
+            lengths in alphabet(),
+            garbage in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let code = CanonicalCode::from_lengths(&lengths).expect("Kraft-valid lengths");
+            decode_both(&code, &garbage, 600)?;
+        }
+    }
+
+    #[test]
+    fn decode_table_is_sized_to_the_longest_code() {
+        let code = CanonicalCode::from_lengths(&[(3, 1), (9, 2), (12, 2)]).unwrap();
+        assert_eq!((code.table_bits, code.table.len()), (2, 4));
+        let staircase: Vec<(u32, u8)> = (1..=MAX_CODE_LEN)
+            .chain([MAX_CODE_LEN])
+            .enumerate()
+            .map(|(s, l)| (s as u32, l))
+            .collect();
+        let code = CanonicalCode::from_lengths(&staircase).unwrap();
+        assert_eq!(code.table.len(), 1 << TABLE_BITS);
+    }
 
     fn round_trip(symbols: &[u32]) {
-        let lengths = lengths_from_symbols(symbols.iter().copied());
+        let lengths = lengths_from_symbols(symbols);
         let code = CanonicalCode::from_lengths(&lengths).unwrap();
         let mut w = BitWriter::new();
         for &s in symbols {
@@ -334,7 +593,7 @@ mod tests {
     #[test]
     fn single_symbol_alphabet() {
         round_trip(&[42, 42, 42, 42]);
-        let lengths = lengths_from_symbols([7u32, 7, 7].into_iter());
+        let lengths = lengths_from_symbols(&[7, 7, 7]);
         assert_eq!(lengths, vec![(7, 1)]);
     }
 
@@ -343,7 +602,7 @@ mod tests {
         // Symbol 5 dominates; it must get the shortest code.
         let mut syms = vec![5u32; 1000];
         syms.extend([1, 2, 3, 4].repeat(3));
-        let lengths = lengths_from_symbols(syms.iter().copied());
+        let lengths = lengths_from_symbols(&syms);
         let code5 = lengths.iter().find(|&&(s, _)| s == 5).unwrap().1;
         for &(s, l) in &lengths {
             if s != 5 {
@@ -365,7 +624,7 @@ mod tests {
         for i in 0..100 {
             syms.push(i % 16 + 1);
         }
-        let lengths = lengths_from_symbols(syms.iter().copied());
+        let lengths = lengths_from_symbols(&syms);
         let code = CanonicalCode::from_lengths(&lengths).unwrap();
         let mut w = BitWriter::new();
         for &s in &syms {
@@ -378,7 +637,7 @@ mod tests {
 
     #[test]
     fn lengths_serialize_round_trip() {
-        let lengths = lengths_from_symbols([1u32, 1, 2, 2, 2, 900, 900, 65535].into_iter());
+        let lengths = lengths_from_symbols(&[1, 1, 2, 2, 2, 900, 900, 65535]);
         let mut buf = Vec::new();
         CanonicalCode::serialize_lengths(&lengths, &mut buf);
         let mut pos = 0;
@@ -405,8 +664,11 @@ mod tests {
 
     #[test]
     fn truncated_stream_is_detected() {
-        let lengths =
-            lengths_from_symbols((0..16u32).flat_map(|s| std::iter::repeat_n(s, s as usize + 1)));
+        let lengths = lengths_from_symbols(
+            &(0..16u32)
+                .flat_map(|s| std::iter::repeat_n(s, s as usize + 1))
+                .collect::<Vec<_>>(),
+        );
         let code = CanonicalCode::from_lengths(&lengths).unwrap();
         let mut w = BitWriter::new();
         for s in 0..16u32 {
@@ -441,8 +703,7 @@ mod tests {
 
     #[test]
     fn canonical_codes_are_prefix_free() {
-        let lengths =
-            lengths_from_symbols([0u32, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10].into_iter());
+        let lengths = lengths_from_symbols(&[0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         let code = CanonicalCode::from_lengths(&lengths).unwrap();
         // Encode each symbol alone and check that no encoding is a prefix
         // of another (by decoding a concatenation back).

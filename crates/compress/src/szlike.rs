@@ -64,7 +64,7 @@ pub fn encode(data: &[f64], eb: f64, out: &mut Vec<u8>) {
 
     // Entropy-code the symbol stream. A single-symbol alphabet (e.g. an
     // all-zero chunk) needs no payload at all — the count is in the header.
-    let lengths = crate::huffman::lengths_from_symbols(symbols.iter().copied());
+    let lengths = crate::huffman::lengths_from_symbols(&symbols);
     CanonicalCode::serialize_lengths(&lengths, out);
     if lengths.len() == 1 {
         varint::write_u64(out, 0);

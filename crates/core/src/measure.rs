@@ -86,10 +86,7 @@ pub fn sample_counts<R: Rng>(
 /// the compressed store (Z-strings are diagonal, so no pairing is needed):
 /// `<Z_{q0} Z_{q1} ...> = sum_i p(i) * (-1)^(popcount of selected bits)`.
 pub fn expect_z_product(store: &dyn ChunkStore, qubits: &[u32]) -> Result<f64, CodecError> {
-    for &q in qubits {
-        assert!(q < store.n_qubits(), "qubit {q} out of range");
-    }
-    let mask: usize = qubits.iter().map(|&q| 1usize << q).sum();
+    let mask = z_mask(store, qubits);
     let mut buf = vec![Complex64::ZERO; store.chunk_amps()];
     let mut acc = 0.0f64;
     let mut norm = 0.0f64;
@@ -109,6 +106,17 @@ pub fn expect_z_product(store: &dyn ChunkStore, qubits: &[u32]) -> Result<f64, C
     }
     // Normalize: lossy compression can leave the norm slightly off 1.
     Ok(acc / norm.max(f64::MIN_POSITIVE))
+}
+
+/// The basis-index mask of a Z-string on `qubits`.
+///
+/// # Panics
+/// Panics if a qubit is out of range for `store`.
+fn z_mask(store: &dyn ChunkStore, qubits: &[u32]) -> usize {
+    for &q in qubits {
+        assert!(q < store.n_qubits(), "qubit {q} out of range");
+    }
+    qubits.iter().map(|&q| 1usize << q).sum()
 }
 
 /// [`expect_z_product`] against a store whose amplitudes are held under a
@@ -200,13 +208,38 @@ pub fn expect_pauli(store: &dyn ChunkStore, p: &PauliString) -> Result<f64, Code
 }
 
 /// Expected MaxCut value over `edges`, streaming from the compressed store.
+///
+/// The readout is one streaming pass: each chunk is loaded (decoded) once
+/// and feeds one `<Z_a Z_b>` accumulator per edge. Every accumulator sums
+/// in the order [`expect_z_product`] would, so the result is bit-identical
+/// to summing `(1 - <Z_a Z_b>) / 2` over the edges one pass per edge.
 pub fn expected_cut(store: &dyn ChunkStore, edges: &[(u32, u32)]) -> Result<f64, CodecError> {
-    let mut total = 0.0;
-    for &(a, b) in edges {
-        let zz = expect_z_product(store, &[a, b])?;
-        total += (1.0 - zz) / 2.0;
+    if edges.is_empty() {
+        return Ok(0.0);
     }
-    Ok(total)
+    let masks: Vec<usize> = edges.iter().map(|&(a, b)| z_mask(store, &[a, b])).collect();
+    let mut buf = vec![Complex64::ZERO; store.chunk_amps()];
+    let mut acc = vec![0.0f64; edges.len()];
+    let mut norm = 0.0f64;
+    for chunk in 0..store.chunk_count() {
+        store.load_chunk(chunk, &mut buf)?;
+        let base = chunk << store.chunk_bits();
+        for (off, z) in buf.iter().enumerate() {
+            let p = z.norm_sqr();
+            norm += p;
+            for (a, &mask) in acc.iter_mut().zip(&masks) {
+                *a += if ((base | off) & mask).count_ones().is_multiple_of(2) {
+                    p
+                } else {
+                    -p
+                };
+            }
+        }
+    }
+    let norm = norm.max(f64::MIN_POSITIVE);
+    Ok(acc
+        .iter()
+        .fold(0.0, |total, &a| total + (1.0 - a / norm) / 2.0))
 }
 
 #[cfg(test)]
@@ -316,6 +349,79 @@ mod tests {
         let streaming = expected_cut(&store, &edges).unwrap();
         let reference = mq_statevec::expval::expected_cut(&dense, &edges);
         assert!((streaming - reference).abs() < 1e-6);
+    }
+
+    /// Passes every call through and counts chunk loads.
+    struct CountingStore {
+        inner: Arc<dyn ChunkStore>,
+        loads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ChunkStore for CountingStore {
+        fn kind(&self) -> &'static str {
+            "counting"
+        }
+        fn n_qubits(&self) -> u32 {
+            self.inner.n_qubits()
+        }
+        fn chunk_bits(&self) -> u32 {
+            self.inner.chunk_bits()
+        }
+        fn load_chunk(&self, i: usize, out: &mut [Complex64]) -> Result<(), CodecError> {
+            self.loads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.load_chunk(i, out)
+        }
+        fn store_chunk(&self, i: usize, amps: &[Complex64]) -> Result<(), CodecError> {
+            self.inner.store_chunk(i, amps)
+        }
+        fn flush(&self) -> Result<(), CodecError> {
+            self.inner.flush()
+        }
+        fn state_bytes(&self) -> usize {
+            self.inner.state_bytes()
+        }
+        fn peak_state_bytes(&self) -> usize {
+            self.inner.peak_state_bytes()
+        }
+        fn peak_resident_bytes(&self) -> usize {
+            self.inner.peak_resident_bytes()
+        }
+        fn counters(&self) -> crate::store::StoreCounters {
+            self.inner.counters()
+        }
+        fn cumulative_stats(&self) -> mq_compress::CompressionStats {
+            self.inner.cumulative_stats()
+        }
+    }
+
+    #[test]
+    fn expected_cut_is_one_pass_and_bit_identical_to_per_edge_sums() {
+        let n = 10;
+        let mut edges = library::ring_graph(n);
+        // Chords: both ends local, both cross-chunk, and mixed.
+        edges.extend([(0, 2), (1, 7), (5, 9), (3, 8), (4, 6)]);
+        let circuit = library::qaoa_maxcut(n, &edges, &[0.5, 0.3], &[0.4, 0.7]);
+        let store = CountingStore {
+            inner: run_to_store(&circuit, 4),
+            loads: Default::default(),
+        };
+        let mut per_edge = 0.0;
+        for &(a, b) in &edges {
+            per_edge += (1.0 - expect_z_product(&store, &[a, b]).unwrap()) / 2.0;
+        }
+        store.loads.store(0, std::sync::atomic::Ordering::Relaxed);
+        let one_pass = expected_cut(&store, &edges).unwrap();
+        assert_eq!(
+            one_pass.to_bits(),
+            per_edge.to_bits(),
+            "{one_pass} vs {per_edge}"
+        );
+        assert_eq!(
+            store.loads.load(std::sync::atomic::Ordering::Relaxed),
+            store.chunk_count()
+        );
+        assert_eq!(expected_cut(&store, &[]).unwrap(), 0.0);
     }
 
     #[test]
