@@ -8,8 +8,8 @@
 //!
 //! The coding stage is table-driven: encode writes a precomputed,
 //! bit-reversed code in one [`BitWriter::write_bits`] call, and decode
-//! resolves every code of up to [`TABLE_BITS`] bits with one lookup on the
-//! next stream bits; only longer codes fall back to a scan over the
+//! resolves every code of up to 11 bits with one lookup on the next
+//! stream bits; only longer codes fall back to a scan over the
 //! canonical per-length code ranges. Both produce exactly the bits (and
 //! decode errors) of a plain bit-serial coder, so the wire format does not
 //! depend on which path ran.
@@ -23,7 +23,7 @@ pub const MAX_CODE_LEN: u8 = 32;
 /// Widest decode table: codes up to this many bits resolve in one lookup.
 /// An alphabet whose longest code is shorter gets a table only that wide,
 /// so a near-constant chunk does not pay for 2^11 entries per decode.
-pub const TABLE_BITS: u32 = 11;
+pub(crate) const TABLE_BITS: u32 = 11;
 
 /// Builds Huffman code lengths for `(symbol, count)` pairs (counts > 0).
 /// Returns `(symbol, length)` pairs. A single-symbol alphabet gets length 1.
@@ -156,8 +156,6 @@ pub struct CanonicalCode {
     table: Vec<(u32, u8)>,
     /// `min(TABLE_BITS, longest code length)`.
     table_bits: u32,
-    /// Every code is `table_bits` long.
-    uniform: bool,
 }
 
 /// Errors from canonical-code construction or decoding.
@@ -242,7 +240,6 @@ impl CanonicalCode {
         let max_sym = lengths.iter().map(|&(s, _)| s).max().expect("non-empty");
         let max_len = (1..=MAX_CODE_LEN).rev().find(|&l| count[l as usize] > 0);
         let table_bits = (max_len.expect("lengths are non-empty") as u32).min(TABLE_BITS);
-        let uniform = count[table_bits as usize] as usize == lengths.len();
         let mut enc = vec![(0u32, 0u8); (max_sym - enc_base) as usize + 1];
         let mut table = vec![(0u32, 0u8); 1 << table_bits];
         for l in 1..=MAX_CODE_LEN {
@@ -273,7 +270,6 @@ impl CanonicalCode {
             sorted_syms,
             table,
             table_bits,
-            uniform,
         })
     }
 
@@ -295,19 +291,7 @@ impl CanonicalCode {
     #[inline(always)]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffmanError> {
         let window = r.peek_word();
-        // Shortcuts whose code length is known before the table load, so a
-        // predicted branch lets the next lookup start without waiting for
-        // it: the all-zero 1-bit code of a dominant symbol, and alphabets
-        // whose codes all have the table's width.
-        if self.count[1] == 1 && window & 1 == 0 {
-            r.skip_bits(1)?;
-            return Ok(self.sorted_syms[0]);
-        }
         let (symbol, len) = self.table[(window & ((1u64 << self.table_bits) - 1)) as usize];
-        if self.uniform && len > 0 {
-            r.skip_bits(self.table_bits)?;
-            return Ok(symbol);
-        }
         if len > 0 {
             r.skip_bits(len as u32)?;
             return Ok(symbol);
@@ -384,32 +368,29 @@ impl CanonicalCode {
     }
 }
 
-/// Widest symbol range counted in a dense array; wider alphabets count into
-/// a sorted map. The SZ quantization alphabet spans at most 2^16.
-const DENSE_COUNT_SPAN: usize = 1 << 17;
+/// Widest symbol range `lengths_from_symbols` counts: the SZ quantization
+/// alphabet spans less than 2^16.
+const MAX_SYMBOL_SPAN: usize = 1 << 16;
 
 /// Convenience: builds lengths from the symbols' frequencies (pairs sorted
-/// by symbol) — the common path for codec implementations.
+/// by symbol) — the common path for codec implementations. Frequencies are
+/// counted in a dense array over the symbols' range.
 ///
 /// # Panics
-/// Panics if `symbols` is empty.
+/// Panics if `symbols` is empty or spans more than 2^16 values.
 pub fn lengths_from_symbols(symbols: &[u32]) -> Vec<(u32, u8)> {
     let lo = *symbols.iter().min().expect("no symbols");
     let hi = *symbols.iter().max().expect("no symbols");
     let span = (hi - lo) as usize + 1;
-    let pairs: Vec<(u32, u64)> = if span <= DENSE_COUNT_SPAN {
-        let mut counts = vec![0u64; span];
-        for &s in symbols {
-            counts[(s - lo) as usize] += 1;
-        }
-        (lo..=hi).zip(counts).filter(|&(_, c)| c > 0).collect()
-    } else {
-        let mut freqs = std::collections::BTreeMap::<u32, u64>::new();
-        for &s in symbols {
-            *freqs.entry(s).or_insert(0) += 1;
-        }
-        freqs.into_iter().collect()
-    };
+    assert!(
+        span <= MAX_SYMBOL_SPAN,
+        "symbol span {span} exceeds {MAX_SYMBOL_SPAN}"
+    );
+    let mut counts = vec![0u64; span];
+    for &s in symbols {
+        counts[(s - lo) as usize] += 1;
+    }
+    let pairs: Vec<(u32, u64)> = (lo..=hi).zip(counts).filter(|&(_, c)| c > 0).collect();
     build_code_lengths(&pairs)
 }
 
@@ -583,6 +564,12 @@ mod tests {
         for &s in symbols {
             assert_eq!(code.decode(&mut r).unwrap(), s);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "symbol span")]
+    fn symbol_span_beyond_the_counting_array_is_rejected() {
+        lengths_from_symbols(&[0, 1 << 16]);
     }
 
     #[test]

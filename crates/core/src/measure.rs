@@ -86,9 +86,18 @@ pub fn sample_counts<R: Rng>(
 /// the compressed store (Z-strings are diagonal, so no pairing is needed):
 /// `<Z_{q0} Z_{q1} ...> = sum_i p(i) * (-1)^(popcount of selected bits)`.
 pub fn expect_z_product(store: &dyn ChunkStore, qubits: &[u32]) -> Result<f64, CodecError> {
-    let mask = z_mask(store, qubits);
+    let (acc, norm) = z_parities(store, &[z_mask(store, qubits)])?;
+    // Normalize: lossy compression can leave the norm slightly off 1.
+    Ok(acc[0] / norm.max(f64::MIN_POSITIVE))
+}
+
+/// One streaming pass over the store: for each basis-index mask, the
+/// unnormalized `sum_i p(i) * (-1)^(popcount(i & mask))`, plus the squared
+/// norm `sum_i p(i)`. Each chunk is loaded once; every mask's sum runs in
+/// basis-index order.
+fn z_parities(store: &dyn ChunkStore, masks: &[usize]) -> Result<(Vec<f64>, f64), CodecError> {
     let mut buf = vec![Complex64::ZERO; store.chunk_amps()];
-    let mut acc = 0.0f64;
+    let mut acc = vec![0.0f64; masks.len()];
     let mut norm = 0.0f64;
     for chunk in 0..store.chunk_count() {
         store.load_chunk(chunk, &mut buf)?;
@@ -96,16 +105,16 @@ pub fn expect_z_product(store: &dyn ChunkStore, qubits: &[u32]) -> Result<f64, C
         for (off, z) in buf.iter().enumerate() {
             let p = z.norm_sqr();
             norm += p;
-            let sign = if ((base | off) & mask).count_ones().is_multiple_of(2) {
-                1.0
-            } else {
-                -1.0
-            };
-            acc += sign * p;
+            for (a, &mask) in acc.iter_mut().zip(masks) {
+                *a += if ((base | off) & mask).count_ones().is_multiple_of(2) {
+                    p
+                } else {
+                    -p
+                };
+            }
         }
     }
-    // Normalize: lossy compression can leave the norm slightly off 1.
-    Ok(acc / norm.max(f64::MIN_POSITIVE))
+    Ok((acc, norm))
 }
 
 /// The basis-index mask of a Z-string on `qubits`.
@@ -218,24 +227,7 @@ pub fn expected_cut(store: &dyn ChunkStore, edges: &[(u32, u32)]) -> Result<f64,
         return Ok(0.0);
     }
     let masks: Vec<usize> = edges.iter().map(|&(a, b)| z_mask(store, &[a, b])).collect();
-    let mut buf = vec![Complex64::ZERO; store.chunk_amps()];
-    let mut acc = vec![0.0f64; edges.len()];
-    let mut norm = 0.0f64;
-    for chunk in 0..store.chunk_count() {
-        store.load_chunk(chunk, &mut buf)?;
-        let base = chunk << store.chunk_bits();
-        for (off, z) in buf.iter().enumerate() {
-            let p = z.norm_sqr();
-            norm += p;
-            for (a, &mask) in acc.iter_mut().zip(&masks) {
-                *a += if ((base | off) & mask).count_ones().is_multiple_of(2) {
-                    p
-                } else {
-                    -p
-                };
-            }
-        }
-    }
+    let (acc, norm) = z_parities(store, &masks)?;
     let norm = norm.max(f64::MIN_POSITIVE);
     Ok(acc
         .iter()
