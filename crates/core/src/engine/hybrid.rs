@@ -1013,6 +1013,170 @@ mod tests {
         }
     }
 
+    type GoldenRow = (&'static str, [usize; 9], [u128; 4], &'static [u128]);
+
+    /// Golden accounting for qft(8) at chunk_bits 3, one row per
+    /// `(devices, pipelined, dual_stream, cpu_share)` in loop order:
+    /// executor; `[stages, chunk_visits, gates_applied, scalars_applied,
+    /// groups_device, groups_cpu, device.commands, device.bytes_h2d,
+    /// device.bytes_d2h]`; `device.[modeled, modeled_h2d, modeled_d2h,
+    /// modeled_kernel]` in nanoseconds; and each `per_device[i].modeled`.
+    const GOLDEN: [GoldenRow; 16] = [
+        (
+            "device-pipeline[serial]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [1905296, 103400, 361320, 1440576],
+            &[1905296],
+        ),
+        (
+            "device-pipeline[serial]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [1448980, 77550, 270990, 1100440],
+            &[1448980],
+        ),
+        (
+            "device-pipeline[serial]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [1484442, 103400, 361320, 1440576],
+            &[1484442],
+        ),
+        (
+            "device-pipeline[serial]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [1136244, 77550, 270990, 1100440],
+            &[1136244],
+        ),
+        (
+            "device-pipeline[pipelined]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [1905296, 103400, 361320, 1440576],
+            &[1905296],
+        ),
+        (
+            "device-pipeline[pipelined]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [1448980, 77550, 270990, 1100440],
+            &[1448980],
+        ),
+        (
+            "device-pipeline[pipelined]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [1484442, 103400, 361320, 1440576],
+            &[1484442],
+        ),
+        (
+            "device-pipeline[pipelined]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [1136244, 77550, 270990, 1100440],
+            &[1136244],
+        ),
+        (
+            "device-fleet[serial x2]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [972656, 103400, 361320, 1440576],
+            &[932640, 972656],
+        ),
+        (
+            "device-fleet[serial x2]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [972656, 77550, 270990, 1100440],
+            &[476324, 972656],
+        ),
+        (
+            "device-fleet[serial x2]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [768038, 103400, 361320, 1440576],
+            &[728022, 768038],
+        ),
+        (
+            "device-fleet[serial x2]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [768038, 77550, 270990, 1100440],
+            &[379824, 768038],
+        ),
+        (
+            "device-fleet[pipelined x2]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [972656, 103400, 361320, 1440576],
+            &[932640, 972656],
+        ),
+        (
+            "device-fleet[pipelined x2]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [972656, 77550, 270990, 1100440],
+            &[476324, 972656],
+        ),
+        (
+            "device-fleet[pipelined x2]",
+            [5, 160, 288, 0, 40, 0, 368, 20480, 20480],
+            [768038, 103400, 361320, 1440576],
+            &[728022, 768038],
+        ),
+        (
+            "device-fleet[pipelined x2]",
+            [5, 160, 288, 0, 30, 10, 280, 15360, 15360],
+            [768038, 77550, 270990, 1100440],
+            &[379824, 768038],
+        ),
+    ];
+
+    #[test]
+    fn fleet_accounting_is_pinned() {
+        // Every combination of fleet size, pipelining, stream layout and
+        // CPU share, pinned exactly: the executor protocol may change
+        // shape, but not one group, command, byte or modeled nanosecond.
+        let c = library::qft(8);
+        let mut golden = GOLDEN.iter();
+        for devices in [1usize, 2] {
+            for pipelined in [false, true] {
+                for dual_stream in [false, true] {
+                    for cpu_share in [0.0, 0.3] {
+                        let config = MemQSimConfig {
+                            dual_stream,
+                            cpu_share,
+                            ..cfg(3)
+                        };
+                        let store = testkit::zero_store(8, 3, &config);
+                        let fleet =
+                            DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12))
+                                .build();
+                        let r = run_fleet(&store, &c, &config, &fleet, pipelined).unwrap();
+                        let d = &r.device;
+                        let got = (
+                            r.executor.as_str(),
+                            [
+                                r.stages,
+                                r.chunk_visits,
+                                r.gates_applied,
+                                r.scalars_applied,
+                                r.groups_device,
+                                r.groups_cpu,
+                                d.commands,
+                                d.bytes_h2d,
+                                d.bytes_d2h,
+                            ],
+                            [d.modeled, d.modeled_h2d, d.modeled_d2h, d.modeled_kernel]
+                                .map(|t| t.as_nanos()),
+                            r.per_device
+                                .iter()
+                                .map(|s| s.modeled.as_nanos())
+                                .collect::<Vec<_>>(),
+                        );
+                        let (executor, counts, modeled, per_device) =
+                            golden.next().expect("one golden row per run");
+                        assert_eq!(
+                            got,
+                            (*executor, *counts, *modeled, per_device.to_vec()),
+                            "devices {devices}, pipelined {pipelined}, \
+                             dual_stream {dual_stream}, cpu_share {cpu_share}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(golden.next().is_none());
+    }
+
     #[test]
     fn grover_through_the_full_pipeline() {
         let n = 6;
