@@ -21,7 +21,7 @@
 //!
 //! `--check` exits non-zero if any gate fails — the CI smoke gate.
 
-use memqsim_core::{build_store, MemQSimConfig, RunReport, ShardPolicy};
+use memqsim_core::{build_store, MemQSimConfig, RunReport};
 use mq_bench::{fmt_secs, write_results_json, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
@@ -52,7 +52,6 @@ fn run_fleet(circuit: &Circuit, chunk_bits: u32, devices: usize) -> (Vec<Complex
         codec: CodecSpec::Fpc,
         workers: 1,
         devices,
-        shard_policy: ShardPolicy::ChunkAffinity,
         ..Default::default()
     };
     let store = build_store(circuit.n_qubits(), &cfg).expect("store construction failed");

@@ -1,6 +1,5 @@
 //! MEMQSIM configuration.
 
-use crate::store::CachePolicy;
 use mq_compress::{CodecSpec, Precision};
 
 /// Which base storage tier [`build_store`](crate::store::build_store)
@@ -57,27 +56,6 @@ pub enum TransferMode {
     Compressed,
 }
 
-/// How [`run_with_executor`](crate::engine::exec::run_with_executor)
-/// scatters each stage's chunk groups across an N-device fleet. Groups
-/// within a stage touch disjoint chunk sets, so every policy produces a
-/// bit-identical final state — policies only move modeled time and
-/// device-arena locality around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Rank groups by their base chunk and split the ranking into N
-    /// contiguous ranges, so a chunk range keeps hitting the same device's
-    /// arena across stages (the default).
-    #[default]
-    ChunkAffinity,
-    /// Deal groups out in submission order: group `seq` goes to device
-    /// `seq % N`.
-    RoundRobin,
-    /// Greedy least-loaded: each group goes to the device with the fewest
-    /// chunks assigned so far (load carries across stages), absorbing
-    /// heterogeneous group sizes.
-    LoadBalanced,
-}
-
 /// Whether the planner may re-map logical qubits onto physical state
 /// positions between stages. Remapping trades one-off permutation sweeps
 /// for fewer cross-chunk stages on circuits that keep hammering qubits
@@ -95,51 +73,6 @@ pub enum LayoutPolicy {
     /// the fixed plan whenever remapping would not strictly reduce chunk
     /// visits; applies to staged plans only (per-gate plans stay fixed).
     Greedy,
-}
-
-/// How a run-level fidelity budget is split into per-stage error
-/// allowances. The budget converts the end-state fidelity target into a
-/// total per-amplitude error allowance; the policy decides which stages
-/// get to spend it. Every policy allocates bounds that sum to (at most)
-/// the total, so the end-state claim holds regardless of the shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BudgetPolicy {
-    /// Every stage gets `total / n_stages` (the default).
-    #[default]
-    Uniform,
-    /// Early stages get tighter bounds (errors introduced early pass
-    /// through more gates); allowances grow linearly toward the end.
-    FrontLoaded,
-    /// Early stages get looser bounds (useful when late-circuit states are
-    /// the structured, compressible ones); allowances shrink linearly.
-    BackLoaded,
-}
-
-impl BudgetPolicy {
-    /// Splits `total` into `n_stages` per-stage allowances summing to
-    /// `total` (within rounding). Returns an empty vector for zero stages.
-    pub fn allocate(&self, total: f64, n_stages: usize) -> Vec<f64> {
-        if n_stages == 0 {
-            return Vec::new();
-        }
-        let n = n_stages as f64;
-        match self {
-            BudgetPolicy::Uniform => vec![total / n; n_stages],
-            // Linear ramp with weights 1, 2, ..., n (front-loaded spends
-            // the small weights first); weights sum to n(n+1)/2.
-            BudgetPolicy::FrontLoaded => {
-                let denom = n * (n + 1.0) / 2.0;
-                (1..=n_stages).map(|k| total * k as f64 / denom).collect()
-            }
-            BudgetPolicy::BackLoaded => {
-                let denom = n * (n + 1.0) / 2.0;
-                (1..=n_stages)
-                    .rev()
-                    .map(|k| total * k as f64 / denom)
-                    .collect()
-            }
-        }
-    }
 }
 
 /// Per-role thread counts for the pipelined CPU executor
@@ -242,10 +175,6 @@ pub struct MemQSimConfig {
     /// chunks (0 = disabled). Cache bytes count toward peak resident
     /// memory, so the budget trades codec traffic against footprint.
     pub cache_bytes: usize,
-    /// When cached stores reach the compressed representation (write-back
-    /// defers recompression to eviction/flush; write-through keeps slots
-    /// always current).
-    pub cache_policy: CachePolicy,
     /// Which base storage tier holds the chunks (compressed, dense, or
     /// disk-spill).
     pub store_kind: StoreKind,
@@ -260,22 +189,16 @@ pub struct MemQSimConfig {
     /// stream, arena, staging buffers, and per-device stats; the modeled
     /// run time becomes the makespan (max over devices).
     pub devices: usize,
-    /// How stage groups are scattered across the device fleet; ignored at
-    /// `devices == 1`.
-    pub shard_policy: ShardPolicy,
     /// Whether the planner may insert remap transitions that permute the
     /// logical→physical qubit layout between stages to cut chunk visits
     /// (`Fixed` keeps the identity layout for the whole run).
     pub layout_policy: LayoutPolicy,
     /// End-state fidelity target (`None` = no budget). When set (requires
     /// [`CodecSpec::Auto`]), the engine converts `1 - target` into a total
-    /// per-amplitude error allowance, splits it across stages per
-    /// `budget_policy`, and feeds each stage's bound to the adaptive codec
+    /// per-amplitude error allowance, splits it evenly across stages, and
+    /// feeds each stage's bound to the adaptive codec
     /// — tracking actual per-stage spend in telemetry.
     pub fidelity_budget: Option<f64>,
-    /// How the fidelity budget is split into per-stage allowances; ignored
-    /// without `fidelity_budget`.
-    pub budget_policy: BudgetPolicy,
     /// Numeric width of stored chunks. [`Precision::Adaptive`] (requires
     /// [`CodecSpec::Auto`]) lets the codec demote chunks to f32 pairs when
     /// the rounding error fits the stage's allowance.
@@ -296,15 +219,12 @@ impl Default for MemQSimConfig {
             dual_stream: false,
             reorder: false,
             cache_bytes: 0,
-            cache_policy: CachePolicy::WriteBack,
             store_kind: StoreKind::Compressed,
             fusion: FusionLevel::Off,
             transfer_mode: TransferMode::Raw,
             devices: 1,
-            shard_policy: ShardPolicy::ChunkAffinity,
             layout_policy: LayoutPolicy::Fixed,
             fidelity_budget: None,
-            budget_policy: BudgetPolicy::Uniform,
             precision: Precision::F64,
         }
     }
@@ -467,12 +387,6 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// When cached stores reach the compressed representation.
-    pub fn cache_policy(mut self, cache_policy: CachePolicy) -> Self {
-        self.cfg.cache_policy = cache_policy;
-        self
-    }
-
     /// Which base storage tier holds the chunks.
     pub fn store_kind(mut self, store_kind: StoreKind) -> Self {
         self.cfg.store_kind = store_kind;
@@ -498,12 +412,6 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// How stage groups are scattered across the device fleet.
-    pub fn shard_policy(mut self, shard_policy: ShardPolicy) -> Self {
-        self.cfg.shard_policy = shard_policy;
-        self
-    }
-
     /// Whether the planner may permute the logical→physical qubit layout
     /// between stages (`Fixed` = never, `Greedy` = when it cuts visits).
     pub fn layout_policy(mut self, layout_policy: LayoutPolicy) -> Self {
@@ -514,12 +422,6 @@ impl MemQSimConfigBuilder {
     /// End-state fidelity target in (0, 1); requires [`CodecSpec::Auto`].
     pub fn fidelity_budget(mut self, target: f64) -> Self {
         self.cfg.fidelity_budget = Some(target);
-        self
-    }
-
-    /// How the fidelity budget is split into per-stage allowances.
-    pub fn budget_policy(mut self, budget_policy: BudgetPolicy) -> Self {
-        self.cfg.budget_policy = budget_policy;
         self
     }
 
@@ -637,26 +539,22 @@ mod tests {
             .dual_stream(true)
             .reorder(true)
             .cache_bytes(1 << 20)
-            .cache_policy(CachePolicy::WriteThrough)
             .store_kind(StoreKind::Spill {
                 resident_budget: 1 << 24,
             })
             .fusion(FusionLevel::Blocks2q)
             .transfer_mode(TransferMode::Compressed)
             .devices(4)
-            .shard_policy(ShardPolicy::RoundRobin)
             .layout_policy(LayoutPolicy::Greedy)
             .build()
             .unwrap();
         let adaptive = MemQSimConfig::builder()
             .codec(CodecSpec::Auto { eb: Some(1e-8) })
             .fidelity_budget(0.999999)
-            .budget_policy(BudgetPolicy::FrontLoaded)
             .precision(Precision::Adaptive)
             .build()
             .unwrap();
         assert_eq!(adaptive.fidelity_budget, Some(0.999999));
-        assert_eq!(adaptive.budget_policy, BudgetPolicy::FrontLoaded);
         assert_eq!(adaptive.precision, Precision::Adaptive);
         assert_eq!(
             cfg,
@@ -672,17 +570,14 @@ mod tests {
                 dual_stream: true,
                 reorder: true,
                 cache_bytes: 1 << 20,
-                cache_policy: CachePolicy::WriteThrough,
                 store_kind: StoreKind::Spill {
                     resident_budget: 1 << 24,
                 },
                 fusion: FusionLevel::Blocks2q,
                 transfer_mode: TransferMode::Compressed,
                 devices: 4,
-                shard_policy: ShardPolicy::RoundRobin,
                 layout_policy: LayoutPolicy::Greedy,
                 fidelity_budget: None,
-                budget_policy: BudgetPolicy::Uniform,
                 precision: Precision::F64,
             }
         );
@@ -729,30 +624,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("Precision::Adaptive"), "{err}");
-    }
-
-    #[test]
-    fn budget_policies_allocate_the_whole_budget() {
-        for policy in [
-            BudgetPolicy::Uniform,
-            BudgetPolicy::FrontLoaded,
-            BudgetPolicy::BackLoaded,
-        ] {
-            assert!(policy.allocate(1e-6, 0).is_empty());
-            for n in [1usize, 2, 7] {
-                let bounds = policy.allocate(1e-6, n);
-                assert_eq!(bounds.len(), n);
-                assert!(bounds.iter().all(|&b| b > 0.0), "{policy:?}");
-                let sum: f64 = bounds.iter().sum();
-                assert!((sum - 1e-6).abs() < 1e-18, "{policy:?}: sum {sum}");
-            }
-        }
-        // Front-loaded tightens early stages; back-loaded is its mirror.
-        let front = BudgetPolicy::FrontLoaded.allocate(1.0, 4);
-        assert!(front.windows(2).all(|w| w[0] < w[1]));
-        let back = BudgetPolicy::BackLoaded.allocate(1.0, 4);
-        assert!(back.windows(2).all(|w| w[0] > w[1]));
-        assert_eq!(front[0], back[3]);
     }
 
     #[test]

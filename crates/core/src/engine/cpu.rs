@@ -26,7 +26,7 @@
 use crate::config::{MemQSimConfig, WorkerSplit};
 use crate::engine::exec::{
     apply_stage_to_group, load_group, process_groups_on_cpu, run_with_executor, store_group,
-    ApplyCounters, ChunkExecutor, ExecContext, ExecutorStats, GroupWork, StageWork,
+    ApplyCounters, ChunkExecutor, ExecContext, ExecutorStats, GroupWork,
 };
 use crate::engine::{EngineError, Granularity, RunReport};
 use crate::store::ChunkStore;
@@ -359,18 +359,13 @@ impl ChunkExecutor for CpuWorkerExecutor {
     fn end_stage(&mut self, ctx: &ExecContext, index: u32) -> Result<(), EngineError> {
         match &mut self.pipeline {
             None => {
-                let work = StageWork {
-                    index,
-                    stage: ctx.stage(index),
-                    groups: std::mem::take(&mut self.pending),
-                    shards: Vec::new(),
-                    error_allowance: ctx.stage_error_allowance(index),
-                };
-                let group_amps = work.stage.group_size() * ctx.chunk_amps();
+                let stage = ctx.stage(index);
+                let groups = std::mem::take(&mut self.pending);
+                let group_amps = stage.group_size() * ctx.chunk_amps();
                 self.peak_buffer_bytes = self
                     .peak_buffer_bytes
-                    .max(ctx.cfg.workers.min(work.groups.len()) * group_amps * AMP_BYTES);
-                process_groups_on_cpu(ctx, &work, &work.groups, &self.counters)
+                    .max(ctx.cfg.workers.min(groups.len()) * group_amps * AMP_BYTES);
+                process_groups_on_cpu(ctx, stage, index, &groups, &self.counters)
             }
             Some(p) => p.barrier(),
         }

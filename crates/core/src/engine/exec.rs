@@ -19,17 +19,14 @@
 //!   `cfg.pipeline_depth > 1`;
 //! * [`DevicePipelineExecutor`](super::hybrid::DevicePipelineExecutor) —
 //!   the three-role producer/device/completer pipeline (Fig. 2 steps 1–6),
-//!   a [`StageBatchExecutor`] bridged by [`SerialAdapter`].
+//!   which buffers a stage's submissions and runs them at the barrier.
 //!
-//! Batch-shaped compute paths (and test mocks) implement
-//! [`StageBatchExecutor`] — the old whole-stage callback — and ride the
-//! streaming driver through [`SerialAdapter`], which buffers submissions
-//! until the stage barrier. Anything implementing either trait gets config
-//! validation, plan building, cache setup, visit accounting, flush and
-//! [`RunReport`] assembly for free, which is the seam heterogeneous
-//! scheduling (routing stages per-executor) will plug into.
+//! Any [`ChunkExecutor`] gets config validation, plan building, cache
+//! setup, visit accounting, flush and [`RunReport`] assembly for free,
+//! which is the seam heterogeneous scheduling (routing stages
+//! per-executor) will plug into.
 
-use crate::config::{FusionLevel, LayoutPolicy, MemQSimConfig, ShardPolicy};
+use crate::config::{FusionLevel, LayoutPolicy, MemQSimConfig};
 use crate::engine::report::RunReport;
 use crate::engine::{EngineError, Granularity, StoreTelemetryGuard};
 use crate::planner::chunk_groups;
@@ -101,30 +98,9 @@ pub struct GroupWork {
     /// The co-resident chunk indices of this group.
     pub chunks: Vec<usize>,
     /// The device index this group is sharded to (always 0 for
-    /// single-device configurations; see
-    /// [`ShardPolicy`]).
+    /// single-device configurations; fleets give each device one
+    /// contiguous range of the stage's groups ranked by base chunk).
     pub shard: usize,
-}
-
-/// One stage's whole work order, as handed to
-/// [`StageBatchExecutor::execute_stage`]: the stage, its index, and its
-/// chunk groups in the order the driver wants them visited
-/// (cache-resident groups first).
-pub struct StageWork<'a> {
-    /// Stage index within the plan (telemetry stage id).
-    pub index: u32,
-    /// The stage being executed.
-    pub stage: &'a Stage,
-    /// Ordered chunk groups; each inner vector is one co-resident group.
-    pub groups: Vec<Vec<usize>>,
-    /// Per-group device assignment, aligned with `groups` (all zeros for
-    /// single-device configurations).
-    pub shards: Vec<usize>,
-    /// The per-amplitude error allowance this stage may spend under the
-    /// run's fidelity budget (`None` without one). Executors with a
-    /// private codec instance forward it to
-    /// [`Codec::set_dynamic_bound`](mq_compress::Codec::set_dynamic_bound).
-    pub error_allowance: Option<f64>,
 }
 
 /// Executor-side accounting folded into the final [`RunReport`].
@@ -214,118 +190,6 @@ pub trait ChunkExecutor {
     fn finish(&mut self, _ctx: &ExecContext) -> Result<ExecutorStats, EngineError>;
 }
 
-/// A batch-shaped compute path: one callback per whole stage.
-///
-/// This is the pre-streaming `ChunkExecutor` shape, kept for executors
-/// (and test mocks) that process a stage as a unit — wrap one in
-/// [`SerialAdapter`] to drive it through the streaming core.
-pub trait StageBatchExecutor {
-    /// Display name, recorded in the report.
-    fn name(&self) -> String;
-
-    /// Allocates run-scoped resources (buffers, streams, threads).
-    fn prepare(&mut self, _ctx: &ExecContext) -> Result<(), EngineError> {
-        Ok(())
-    }
-
-    /// Processes every chunk group of one stage, in the given order.
-    fn execute_stage(&mut self, ctx: &ExecContext, work: &StageWork<'_>)
-        -> Result<(), EngineError>;
-
-    /// Executes a layout remap transition between stages (see
-    /// [`ChunkExecutor::remap`]). Returns the chunk visits performed.
-    fn remap(
-        &mut self,
-        ctx: &ExecContext,
-        transition: &RemapTransition,
-    ) -> Result<usize, EngineError> {
-        apply_remap_on_store(ctx, transition)
-    }
-
-    /// Drains and releases resources, returning the executor's accounting.
-    fn finish(&mut self, _ctx: &ExecContext) -> Result<ExecutorStats, EngineError>;
-}
-
-/// Bridges a [`StageBatchExecutor`] onto the streaming [`ChunkExecutor`]
-/// protocol: submissions buffer until the stage barrier, where the whole
-/// stage is delivered as one [`StageWork`]. The migration path for batch
-/// executors — semantics are exactly the pre-streaming driver loop.
-pub struct SerialAdapter<E> {
-    inner: E,
-    pending: Vec<Vec<usize>>,
-    pending_shards: Vec<usize>,
-}
-
-impl<E> SerialAdapter<E> {
-    /// Wraps `inner` for the streaming driver.
-    pub fn new(inner: E) -> SerialAdapter<E> {
-        SerialAdapter {
-            inner,
-            pending: Vec::new(),
-            pending_shards: Vec::new(),
-        }
-    }
-
-    /// The wrapped executor.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-}
-
-impl<E: StageBatchExecutor> ChunkExecutor for SerialAdapter<E> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn prepare(&mut self, ctx: &ExecContext) -> Result<(), EngineError> {
-        self.inner.prepare(ctx)
-    }
-
-    fn begin_stage(
-        &mut self,
-        _ctx: &ExecContext,
-        _index: u32,
-        n_groups: usize,
-    ) -> Result<(), EngineError> {
-        self.pending.clear();
-        self.pending.reserve(n_groups);
-        self.pending_shards.clear();
-        self.pending_shards.reserve(n_groups);
-        Ok(())
-    }
-
-    fn submit(&mut self, _ctx: &ExecContext, group: GroupWork) -> Result<(), EngineError> {
-        self.pending.push(group.chunks);
-        self.pending_shards.push(group.shard);
-        Ok(())
-    }
-
-    fn end_stage(&mut self, ctx: &ExecContext, index: u32) -> Result<(), EngineError> {
-        let work = StageWork {
-            index,
-            stage: ctx.stage(index),
-            groups: std::mem::take(&mut self.pending),
-            shards: std::mem::take(&mut self.pending_shards),
-            error_allowance: ctx.stage_error_allowance(index),
-        };
-        self.inner.execute_stage(ctx, &work)
-    }
-
-    fn remap(
-        &mut self,
-        ctx: &ExecContext,
-        transition: &RemapTransition,
-    ) -> Result<usize, EngineError> {
-        self.inner.remap(ctx, transition)
-    }
-
-    fn finish(&mut self, ctx: &ExecContext) -> Result<ExecutorStats, EngineError> {
-        self.pending.clear();
-        self.pending_shards.clear();
-        self.inner.finish(ctx)
-    }
-}
-
 /// Builds the plan for `circuit` under `cfg` at the given granularity,
 /// optionally running the commutation-aware reorder pass first and the
 /// per-stage fusion pass (`cfg.fusion`) last.
@@ -395,53 +259,23 @@ fn fuse_plan_stages(plan: &mut Plan, level: FusionLevel, n_qubits: u32) -> usize
     fused_away
 }
 
-/// Assigns one stage's groups to devices under `policy`. `load` is the
-/// per-device chunk count carried across stages (only `LoadBalanced` reads
-/// it; every policy updates it so telemetry can report imbalance).
+/// Assigns one stage's groups to devices: rank the groups by base chunk
+/// and split the ranking into `n_devices` contiguous ranges, so device `d`
+/// owns the `d`-th range of the chunk space and the same chunks land on
+/// the same device's arena in every stage (the stage's group *bases* shift
+/// with its high qubits, but ranking keeps the ranges balanced regardless).
 ///
 /// Groups within a stage touch disjoint chunk sets, so any assignment is
-/// bit-exact; policies only trade modeled makespan against arena locality.
-fn assign_shards(
-    policy: ShardPolicy,
-    n_devices: usize,
-    groups: &[Vec<usize>],
-    load: &mut [usize],
-) -> Vec<usize> {
+/// bit-exact; the ranking only decides modeled makespan and arena locality.
+fn assign_shards(n_devices: usize, groups: &[Vec<usize>]) -> Vec<usize> {
     if n_devices <= 1 || groups.is_empty() {
-        for (i, g) in groups.iter().enumerate() {
-            load[i % n_devices.max(1)] += g.len();
-        }
         return vec![0; groups.len()];
     }
-    let shards: Vec<usize> = match policy {
-        ShardPolicy::ChunkAffinity => {
-            // Rank groups by base chunk, then split the ranking into N
-            // contiguous ranges: device d owns the d-th range of the chunk
-            // space, so the same chunks land on the same device's arena in
-            // every stage (the stage's group *bases* shift with its high
-            // qubits, but ranking keeps the ranges balanced regardless).
-            let mut order: Vec<usize> = (0..groups.len()).collect();
-            order.sort_by_key(|&i| groups[i].first().copied().unwrap_or(0));
-            let mut shards = vec![0usize; groups.len()];
-            for (rank, &gi) in order.iter().enumerate() {
-                shards[gi] = rank * n_devices / groups.len();
-            }
-            shards
-        }
-        ShardPolicy::RoundRobin => (0..groups.len()).map(|seq| seq % n_devices).collect(),
-        ShardPolicy::LoadBalanced => groups
-            .iter()
-            .map(|g| {
-                let d = (0..n_devices).min_by_key(|&d| load[d]).unwrap_or(0);
-                load[d] += g.len();
-                d
-            })
-            .collect(),
-    };
-    if policy != ShardPolicy::LoadBalanced {
-        for (gi, &d) in shards.iter().enumerate() {
-            load[d] += groups[gi].len();
-        }
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_by_key(|&i| groups[i].first().copied().unwrap_or(0));
+    let mut shards = vec![0usize; groups.len()];
+    for (rank, &gi) in order.iter().enumerate() {
+        shards[gi] = rank * n_devices / groups.len();
     }
     shards
 }
@@ -581,7 +415,6 @@ pub fn run_with_executor(
     let mut lossy_mark = store.counters().lossy_encodes;
 
     let n_devices = cfg.devices.max(1);
-    let mut device_load = vec![0usize; n_devices];
     let mut chunk_visits = 0usize;
     let mut run_err: Option<EngineError> = None;
     match executor.prepare(&ctx) {
@@ -592,14 +425,12 @@ pub fn run_with_executor(
                     store.set_error_allowance(Some(bounds[si]));
                 }
                 if let Some(transition) = &stage.transition {
-                    // Remap before the stage: chunk identities change, so
-                    // per-device load tracking restarts (ChunkAffinity
-                    // re-ranks per stage; LoadBalanced re-seeds).
+                    // Remap before the stage: chunk identities change, and
+                    // the shard ranking below re-ranks from scratch.
                     match executor.remap(&ctx, transition) {
                         Ok(v) => {
                             chunk_visits += v;
                             telemetry.add(Counter::RemapPasses, 1);
-                            device_load.iter_mut().for_each(|l| *l = 0);
                         }
                         Err(e) => {
                             run_err = Some(e);
@@ -629,7 +460,7 @@ pub fn run_with_executor(
                     }
                 }
                 chunk_visits += groups.iter().map(Vec::len).sum::<usize>();
-                let shards = assign_shards(cfg.shard_policy, n_devices, &groups, &mut device_load);
+                let shards = assign_shards(n_devices, &groups);
                 let si = si as u32;
                 if let Err(e) = executor.begin_stage(&ctx, si, groups.len()) {
                     run_err = Some(e);
@@ -752,14 +583,13 @@ pub fn run_with_executor(
 /// Per-stage error allowances for a run with a fidelity budget (`None`
 /// without one): the end-state infidelity `1 - target` is converted into a
 /// total per-amplitude (per re/im plane) error allowance via the worst-case
-/// L2 relation `1 - F <= 2 * 2^n * E^2`, then split across stages by the
-/// configured [`BudgetPolicy`](crate::config::BudgetPolicy) — per-stage
-/// errors add at worst linearly per amplitude, so bounds summing to `E`
-/// keep the end-state claim.
+/// L2 relation `1 - F <= 2 * 2^n * E^2`, then split evenly across stages
+/// — per-stage errors add at worst linearly per amplitude, so bounds
+/// summing to `E` keep the end-state claim.
 pub fn stage_error_bounds(cfg: &MemQSimConfig, n_qubits: u32, n_stages: usize) -> Option<Vec<f64>> {
     cfg.fidelity_budget.map(|target| {
         let total = ((1.0 - target) / (2.0 * (2f64).powi(n_qubits as i32))).sqrt();
-        cfg.budget_policy.allocate(total, n_stages)
+        vec![total / n_stages as f64; n_stages]
     })
 }
 
@@ -868,7 +698,8 @@ pub(crate) fn apply_stage_to_group(
 /// hybrid executor's "idle core" share (paper Fig. 2 step 5).
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
-    work: &StageWork<'_>,
+    stage: &Stage,
+    index: u32,
     groups: &[Vec<usize>],
     counters: &ApplyCounters,
 ) -> Result<(), EngineError> {
@@ -884,7 +715,7 @@ pub(crate) fn process_groups_on_cpu(
 
         // Decompress members into their buffer slots.
         {
-            let _span = ctx.telemetry.stage_span(Role::Decompress, work.index);
+            let _span = ctx.telemetry.stage_span(Role::Decompress, index);
             if let Err(e) = load_group(&*ctx.store, group, &mut buffer, chunk_amps) {
                 *first_error.lock() = Some(e);
                 return;
@@ -893,9 +724,9 @@ pub(crate) fn process_groups_on_cpu(
 
         // Apply all stage gates, specialized to this group.
         {
-            let _span = ctx.telemetry.stage_span(Role::CpuApply, work.index);
+            let _span = ctx.telemetry.stage_span(Role::CpuApply, index);
             apply_stage_to_group(
-                work.stage,
+                stage,
                 chunk_bits,
                 ctx.cfg.fusion,
                 group[0],
@@ -906,7 +737,7 @@ pub(crate) fn process_groups_on_cpu(
         }
 
         // Recompress.
-        let _span = ctx.telemetry.stage_span(Role::Recompress, work.index);
+        let _span = ctx.telemetry.stage_span(Role::Recompress, index);
         if let Err(e) = store_group(&*ctx.store, group, &buffer, chunk_amps) {
             *first_error.lock() = Some(e);
         }
@@ -925,10 +756,9 @@ mod tests {
     use mq_compress::CodecSpec;
     use mq_telemetry::Counter;
 
-    /// A third, trivial executor: proves the batch seam is real by driving
-    /// the shared core with a mock that only round-trips chunks (identity
-    /// compute) while counting what the driver hands it — through
-    /// [`SerialAdapter`], the same bridge the hybrid engine uses.
+    /// A third, trivial executor: proves the seam is real by driving the
+    /// shared core with a mock that only round-trips chunks (identity
+    /// compute) while counting what the driver hands it.
     #[derive(Default)]
     struct CountingExecutor {
         prepared: usize,
@@ -938,7 +768,7 @@ mod tests {
         chunks_seen: usize,
     }
 
-    impl StageBatchExecutor for CountingExecutor {
+    impl ChunkExecutor for CountingExecutor {
         fn name(&self) -> String {
             "counting-mock".to_string()
         }
@@ -948,22 +778,19 @@ mod tests {
             Ok(())
         }
 
-        fn execute_stage(
-            &mut self,
-            ctx: &ExecContext,
-            work: &StageWork<'_>,
-        ) -> Result<(), EngineError> {
-            self.stages_seen.push(work.index);
-            self.groups_seen += work.groups.len();
-            let chunk_amps = ctx.chunk_amps();
-            let mut buf = vec![Complex64::ZERO; chunk_amps];
-            for group in &work.groups {
-                for &chunk in group {
-                    self.chunks_seen += 1;
-                    ctx.store.load_chunk(chunk, &mut buf)?;
-                    ctx.store.store_chunk(chunk, &buf)?;
-                }
+        fn submit(&mut self, ctx: &ExecContext, group: GroupWork) -> Result<(), EngineError> {
+            self.groups_seen += 1;
+            let mut buf = vec![Complex64::ZERO; ctx.chunk_amps()];
+            for &chunk in &group.chunks {
+                self.chunks_seen += 1;
+                ctx.store.load_chunk(chunk, &mut buf)?;
+                ctx.store.store_chunk(chunk, &buf)?;
             }
+            Ok(())
+        }
+
+        fn end_stage(&mut self, _ctx: &ExecContext, index: u32) -> Result<(), EngineError> {
+            self.stages_seen.push(index);
             Ok(())
         }
 
@@ -981,10 +808,9 @@ mod tests {
         let cfg = testkit::cfg(3, CodecSpec::Fpc);
         let circuit = library::qft(7);
         let store = testkit::zero_store(7, 3, &cfg);
-        let mut mock = SerialAdapter::new(CountingExecutor::default());
+        let mut mock = CountingExecutor::default();
         let report =
             run_with_executor(&store, &circuit, &cfg, Granularity::Staged, &mut mock).unwrap();
-        let mock = mock.into_inner();
 
         // Lifecycle: prepare and finish exactly once, stages in plan order.
         assert_eq!(mock.prepared, 1);
@@ -1022,15 +848,14 @@ mod tests {
         struct FailingExecutor {
             finished: bool,
         }
-        impl StageBatchExecutor for FailingExecutor {
+        impl ChunkExecutor for FailingExecutor {
             fn name(&self) -> String {
                 "failing-mock".to_string()
             }
-            fn execute_stage(
-                &mut self,
-                _ctx: &ExecContext,
-                _work: &StageWork<'_>,
-            ) -> Result<(), EngineError> {
+            fn submit(&mut self, _ctx: &ExecContext, _group: GroupWork) -> Result<(), EngineError> {
+                Ok(())
+            }
+            fn end_stage(&mut self, _ctx: &ExecContext, _index: u32) -> Result<(), EngineError> {
                 Err(EngineError::Config("boom".to_string()))
             }
             fn finish(&mut self, _ctx: &ExecContext) -> Result<ExecutorStats, EngineError> {
@@ -1040,7 +865,7 @@ mod tests {
         }
         let cfg = testkit::cfg(3, CodecSpec::Fpc);
         let store = testkit::zero_store(6, 3, &cfg);
-        let mut exec = SerialAdapter::new(FailingExecutor { finished: false });
+        let mut exec = FailingExecutor { finished: false };
         let err = run_with_executor(
             &store,
             &library::ghz(6),
@@ -1050,10 +875,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::Config(_)));
-        assert!(
-            exec.into_inner().finished,
-            "finish must run even when a stage fails"
-        );
+        assert!(exec.finished, "finish must run even when a stage fails");
     }
 
     #[test]
@@ -1133,7 +955,7 @@ mod tests {
     #[test]
     fn geometry_mismatches_are_typed_errors_not_panics() {
         let cfg = testkit::cfg(3, CodecSpec::Fpc);
-        let mut mock = SerialAdapter::new(CountingExecutor::default());
+        let mut mock = CountingExecutor::default();
 
         // Store narrower than the circuit.
         let store = testkit::zero_store(6, 3, &cfg);
@@ -1167,6 +989,26 @@ mod tests {
             other => panic!("expected ChunkMismatch, got {other:?}"),
         }
         // Neither failed run reached the executor.
-        assert_eq!(mock.into_inner().prepared, 0);
+        assert_eq!(mock.prepared, 0);
+    }
+
+    #[test]
+    fn stage_error_bounds_split_the_budget_evenly() {
+        let no_budget = testkit::cfg(3, CodecSpec::Fpc);
+        assert!(stage_error_bounds(&no_budget, 8, 4).is_none());
+        let cfg = MemQSimConfig {
+            codec: CodecSpec::Auto { eb: None },
+            fidelity_budget: Some(0.999),
+            ..no_budget
+        };
+        let total = ((1.0 - 0.999f64) / (2.0 * 256.0)).sqrt();
+        assert!(stage_error_bounds(&cfg, 8, 0).unwrap().is_empty());
+        for n in [1usize, 2, 7] {
+            let bounds = stage_error_bounds(&cfg, 8, n).unwrap();
+            assert_eq!(bounds.len(), n);
+            assert!(bounds.iter().all(|&b| b == total / n as f64));
+            let sum: f64 = bounds.iter().sum();
+            assert!((sum - total).abs() < 1e-15, "sum {sum}");
+        }
     }
 }

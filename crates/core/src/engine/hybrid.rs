@@ -20,19 +20,20 @@
 //! With `cfg.devices > 1` the whole issuer/completer pair is instantiated
 //! once **per device**: each fleet member owns its own staging slots,
 //! device buffers and streams, and the producer routes every group to the
-//! device the driver's [`ShardPolicy`](crate::config::ShardPolicy) chose.
-//! Groups within a stage touch disjoint chunk sets, so fleet runs are
-//! bit-identical to single-device runs; only the modeled makespan (max
-//! over devices) shrinks.
+//! device the driver's shard assignment chose. Groups within a stage touch
+//! disjoint chunk sets, so fleet runs are bit-identical to single-device
+//! runs; only the modeled makespan (max over devices) shrinks.
 //!
 //! The streaming skeleton (validation, plan, cache, ordering, accounting,
 //! flush, report) lives in [`exec::run_with_executor`](super::exec); this
-//! module contributes only the [`DevicePipelineExecutor`] compute path.
+//! module contributes only the [`DevicePipelineExecutor`] compute path,
+//! which buffers a stage's submitted groups and runs the whole pipeline on
+//! them at the stage barrier.
 
 use crate::config::{FusionLevel, MemQSimConfig, TransferMode};
 use crate::engine::exec::{
-    apply_remap_on_store, process_groups_on_cpu, run_with_executor, ApplyCounters, ExecContext,
-    ExecutorStats, SerialAdapter, StageBatchExecutor, StageWork,
+    apply_remap_on_store, process_groups_on_cpu, run_with_executor, ApplyCounters, ChunkExecutor,
+    ExecContext, ExecutorStats, GroupWork,
 };
 use crate::engine::{EngineError, Granularity, RunReport};
 use crate::specialize::{specialize, GroupContext, Specialized};
@@ -158,18 +159,24 @@ fn merge_stream_stats(into: &mut StreamStats, s: &StreamStats) {
     into.bytes_d2h_compressed += s.bytes_d2h_compressed;
 }
 
-/// [`StageBatchExecutor`] running the paper's three-role pipeline against a
-/// simulated device fleet: a producer decompresses and specializes groups
-/// into pinned staging slots, a per-device issuer runs H2D → kernels → D2H,
-/// and a per-device completer recompresses results — overlapped across
+/// [`ChunkExecutor`] running the paper's three-role pipeline against a
+/// simulated device fleet. It buffers a stage's submitted groups and, at
+/// the stage barrier, runs them through the pipeline: a producer
+/// decompresses and specializes groups into pinned staging slots, a
+/// per-device issuer runs H2D → kernels → D2H, and a per-device completer
+/// recompresses results — overlapped across
 /// `pipeline_buffers` in-flight slots per device when `pipelined`, fully
 /// drained after every group when not (the Fig. 2 ablation baseline). A
 /// `cpu_share` fraction of each stage's groups bypasses the fleet entirely
-/// (step 5, "idle cores"); the rest land on the device the driver's
-/// [`ShardPolicy`](crate::config::ShardPolicy) picked.
+/// (step 5, "idle cores"); the rest land on the device the driver's shard
+/// assignment picked.
 pub struct DevicePipelineExecutor<'d> {
     devices: &'d [Device],
     pipelined: bool,
+    /// The open stage's submitted groups and their shards, run at
+    /// [`end_stage`](ChunkExecutor::end_stage).
+    pending: Vec<Vec<usize>>,
+    pending_shards: Vec<usize>,
     slots: usize,
     max_group_amps: usize,
     lanes: Vec<Lane>,
@@ -196,15 +203,14 @@ impl<'d> DevicePipelineExecutor<'d> {
 
     /// Creates an executor over an N-device fleet. Every device gets its
     /// own staging slots, streams and issuer/completer pipeline; the driver
-    /// routes groups by [`GroupWork::shard`](crate::engine::exec::GroupWork).
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
+    /// routes groups by [`GroupWork::shard`]. An empty fleet fails at
+    /// [`prepare`](ChunkExecutor::prepare) with [`EngineError::Config`].
     pub fn new_fleet(devices: &'d [Device], pipelined: bool) -> DevicePipelineExecutor<'d> {
-        assert!(!devices.is_empty(), "a fleet needs at least one device");
         DevicePipelineExecutor {
             devices,
             pipelined,
+            pending: Vec::new(),
+            pending_shards: Vec::new(),
             slots: 0,
             max_group_amps: 0,
             lanes: Vec::new(),
@@ -229,7 +235,12 @@ impl Drop for DevicePipelineExecutor<'_> {
     }
 }
 
-impl StageBatchExecutor for DevicePipelineExecutor<'_> {
+/// The typed error for a fleet with no device.
+fn empty_fleet() -> EngineError {
+    EngineError::Config("a fleet needs at least one device".into())
+}
+
+impl ChunkExecutor for DevicePipelineExecutor<'_> {
     fn name(&self) -> String {
         let mode = if self.pipelined {
             "pipelined"
@@ -244,6 +255,9 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
     }
 
     fn prepare(&mut self, ctx: &ExecContext) -> Result<(), EngineError> {
+        if self.devices.is_empty() {
+            return Err(empty_fleet());
+        }
         // Every fleet member feeds transfer/kernel counters into the same
         // run record (lanes split them back out per device at `finish`).
         for device in self.devices {
@@ -297,7 +311,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         // affinity (sharding by chunk index) is stale after the transition.
         // The command moves no arena data — it charges one scatter-shaped
         // pass so fleet makespans stay honest about re-sharding — and the
-        // driver re-balances `device_load` at the same boundary.
+        // driver's shard ranking starts over at the same boundary.
         let pairs = transition.chunk_exchange_pairs(ctx.plan.chunk_bits, ctx.store.chunk_count());
         if !pairs.is_empty() {
             for lane in &self.lanes {
@@ -309,32 +323,37 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         apply_remap_on_store(ctx, transition)
     }
 
-    fn execute_stage(
-        &mut self,
-        ctx: &ExecContext,
-        work: &StageWork<'_>,
-    ) -> Result<(), EngineError> {
+    fn submit(&mut self, _ctx: &ExecContext, group: GroupWork) -> Result<(), EngineError> {
+        self.pending.push(group.chunks);
+        self.pending_shards.push(group.shard);
+        Ok(())
+    }
+
+    fn end_stage(&mut self, ctx: &ExecContext, index: u32) -> Result<(), EngineError> {
+        let groups = std::mem::take(&mut self.pending);
+        let shards = std::mem::take(&mut self.pending_shards);
+        let stage = ctx.stage(index);
         let chunk_amps = ctx.chunk_amps();
         // A fidelity budget hands each stage its own error allowance; this
         // executor's private codec instance (compressed transfers) must
         // track the store codec's bound or payload parity breaks.
         if let Some(codec) = &self.codec {
-            codec.set_dynamic_bound(work.error_allowance);
+            codec.set_dynamic_bound(ctx.stage_error_allowance(index));
         }
-        let n_cpu = ((work.groups.len() as f64) * ctx.cfg.cpu_share).round() as usize;
-        let n_cpu = n_cpu.min(work.groups.len());
-        let (cpu_groups, dev_groups) = work.groups.split_at(n_cpu);
-        let dev_shards = &work.shards[n_cpu..];
+        let n_cpu = ((groups.len() as f64) * ctx.cfg.cpu_share).round() as usize;
+        let n_cpu = n_cpu.min(groups.len());
+        let (cpu_groups, dev_groups) = groups.split_at(n_cpu);
+        let dev_shards = &shards[n_cpu..];
 
         // Step 5: idle-core CPU share, processed before device issue so
         // both halves of the stage stay within the stage barrier.
         if !cpu_groups.is_empty() {
-            let group_amps = work.stage.group_size() * chunk_amps;
+            let group_amps = stage.group_size() * chunk_amps;
             let amp_bytes = std::mem::size_of::<Complex64>();
             self.peak_buffer_bytes = self
                 .peak_buffer_bytes
                 .max(ctx.cfg.workers.min(cpu_groups.len()) * group_amps * amp_bytes);
-            process_groups_on_cpu(ctx, work, cpu_groups, &self.counters)?;
+            process_groups_on_cpu(ctx, stage, index, cpu_groups, &self.counters)?;
             self.groups_cpu += cpu_groups.len();
         }
         if dev_groups.is_empty() {
@@ -352,8 +371,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         let pipelined = self.pipelined;
         let codec = self.codec.clone();
         let compressed_mode = self.codec.is_some();
-        let si = work.index;
-        let stage = work.stage;
+        let si = index;
         let chunk_bits = ctx.plan.chunk_bits;
         // With fusion on, a group's whole gate list becomes one batched
         // kernel command (single modeled launch, blocked apply body).
@@ -679,6 +697,8 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
     }
 
     fn finish(&mut self, ctx: &ExecContext) -> Result<ExecutorStats, EngineError> {
+        self.pending.clear();
+        self.pending_shards.clear();
         // Drain every lane's streams first so all device counters have
         // landed, then free its buffers; each lane yields one StreamStats.
         let mut per_device = Vec::with_capacity(self.lanes.len());
@@ -763,7 +783,8 @@ pub fn run(
 /// disjoint chunk sets, so the result is bit-identical to [`run`] on one
 /// device; only the modeled makespan shrinks. `cfg.devices` is overridden
 /// by `devices.len()` so the driver's shard assignment always matches the
-/// fleet that actually executes.
+/// fleet that actually executes; an empty fleet is an
+/// [`EngineError::Config`].
 pub fn run_fleet(
     store: &Arc<dyn ChunkStore>,
     circuit: &Circuit,
@@ -771,12 +792,12 @@ pub fn run_fleet(
     devices: &[Device],
     pipelined: bool,
 ) -> Result<RunReport, EngineError> {
+    if devices.is_empty() {
+        return Err(empty_fleet());
+    }
     let mut cfg = *cfg;
-    cfg.devices = devices.len().max(1);
-    // The device path is a batch-per-stage executor: its internal
-    // producer/issuer/completer threads already overlap within a stage, so
-    // it rides the serial adapter for the streaming driver protocol.
-    let mut executor = SerialAdapter::new(DevicePipelineExecutor::new_fleet(devices, pipelined));
+    cfg.devices = devices.len();
+    let mut executor = DevicePipelineExecutor::new_fleet(devices, pipelined);
     run_with_executor(store, circuit, &cfg, Granularity::Staged, &mut executor)
 }
 
@@ -993,23 +1014,26 @@ mod tests {
     }
 
     #[test]
-    fn fleet_respects_every_shard_policy() {
-        let c = library::random_circuit(7, 6, 7);
-        let base = cfg(3);
-        let (reference, _) = run_fleet_n(&c, 1, true);
-        for policy in [
-            crate::config::ShardPolicy::ChunkAffinity,
-            crate::config::ShardPolicy::RoundRobin,
-            crate::config::ShardPolicy::LoadBalanced,
-        ] {
-            let config = MemQSimConfig {
-                shard_policy: policy,
-                ..base
-            };
-            let store = testkit::zero_store(7, 3, &config);
-            let fleet = DeviceTopology::homogeneous(3, DeviceSpec::tiny_test(1 << 12)).build();
-            run_fleet(&store, &c, &config, &fleet, true).unwrap();
-            assert_eq!(store.to_dense().unwrap(), reference, "{policy:?}");
+    fn empty_fleet_is_a_typed_error() {
+        let config = cfg(3);
+        let store = testkit::zero_store(7, 3, &config);
+        for pipelined in [false, true] {
+            match run_fleet(&store, &library::qft(7), &config, &[], pipelined) {
+                Err(EngineError::Config(msg)) => assert!(msg.contains("device"), "{msg}"),
+                other => panic!("expected a config error, got {other:?}"),
+            }
+            // A directly built empty fleet fails at `prepare` instead.
+            let mut executor = DevicePipelineExecutor::new_fleet(&[], pipelined);
+            match run_with_executor(
+                &store,
+                &library::qft(7),
+                &config,
+                Granularity::Staged,
+                &mut executor,
+            ) {
+                Err(EngineError::Config(msg)) => assert!(msg.contains("device"), "{msg}"),
+                other => panic!("expected a config error, got {other:?}"),
+            }
         }
     }
 

@@ -22,7 +22,7 @@ pub mod report;
 
 pub use exec::{
     build_plan, run_with_executor, stage_error_bounds, ChunkExecutor, ExecContext, ExecutorStats,
-    GroupWork, SerialAdapter, StageBatchExecutor, StageWork,
+    GroupWork,
 };
 pub use report::RunReport;
 

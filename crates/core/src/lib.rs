@@ -56,17 +56,17 @@ pub use backend::{
     run_on_all, Backend, BackendRun, CompressedCpuBackend, DenseCpuBackend, HybridBackend,
 };
 pub use config::{
-    BudgetPolicy, FusionLevel, LayoutPolicy, MemQSimConfig, MemQSimConfigBuilder, ShardPolicy,
-    StoreKind, TransferMode, WorkerSplit,
+    FusionLevel, LayoutPolicy, MemQSimConfig, MemQSimConfigBuilder, StoreKind, TransferMode,
+    WorkerSplit,
 };
 pub use engine::{
     run_with_executor, ChunkExecutor, EngineError, ExecContext, ExecutorStats, Granularity,
-    GroupWork, RunReport, SerialAdapter, StageBatchExecutor, StageWork,
+    GroupWork, RunReport,
 };
 pub use mq_compress::Precision;
 pub use mq_telemetry::{Counter, DeviceLane, Role, RunTelemetry, SpanRecord, Telemetry};
 pub use store::{
-    build_store, build_store_from_amplitudes, CachePolicy, ChunkStore, CompressedTier, DenseStore,
+    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore,
     ResidencyCache, SpillStore, StoreCounters, TelemetryTier,
 };
 

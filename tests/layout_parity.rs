@@ -9,7 +9,6 @@ use memqsim_core::engine::hybrid::DevicePipelineExecutor;
 use memqsim_core::engine::{cpu, Granularity};
 use memqsim_core::{
     build_store, run_with_executor, ChunkStore, Counter, LayoutPolicy, MemQSimConfig, RunReport,
-    SerialAdapter,
 };
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
@@ -56,7 +55,7 @@ fn run(
             let n = if exec == Exec::Fleet2 { 2 } else { 1 };
             cfg.devices = n;
             let fleet = DeviceTopology::homogeneous(n, DeviceSpec::tiny_test(1 << 12)).build();
-            let mut executor = SerialAdapter::new(DevicePipelineExecutor::new_fleet(&fleet, true));
+            let mut executor = DevicePipelineExecutor::new_fleet(&fleet, true);
             run_with_executor(&store, circuit, &cfg, granularity, &mut executor).expect("run")
         }
     };
