@@ -602,6 +602,103 @@ mod tests {
         ));
     }
 
+    /// FNV-1a over the amplitudes' bit patterns: any drift in the final
+    /// state, down to the last ulp, changes the hash.
+    fn state_hash(state: &[Complex64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for z in state {
+            for byte in
+                z.re.to_bits()
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(z.im.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// One row per (circuit, workers, granularity, fusion) run of
+    /// `cpu_accounting_is_pinned`: `[stages, chunk_visits, gates_applied,
+    /// scalars_applied, gates_fused, groups_cpu, peak_buffer_bytes]` and
+    /// the final state's hash.
+    const GOLDEN: &[([usize; 7], u64)] = &[
+        ([5, 160, 288, 0, 0, 40, 512], 0x075c976d8f8e1325),
+        ([5, 160, 264, 0, 3, 40, 512], 0x4fefacba5bc3a925),
+        ([40, 1280, 568, 80, 0, 1128, 512], 0x075c976d8f8e1325),
+        ([40, 1280, 568, 80, 0, 1128, 512], 0x075c976d8f8e1325),
+        ([5, 160, 288, 0, 0, 40, 1024], 0x075c976d8f8e1325),
+        ([5, 160, 264, 0, 3, 40, 1024], 0x4fefacba5bc3a925),
+        ([40, 1280, 568, 80, 0, 1128, 1024], 0x075c976d8f8e1325),
+        ([40, 1280, 568, 80, 0, 1128, 1024], 0x075c976d8f8e1325),
+        ([3, 96, 60, 0, 0, 32, 512], 0x09e0ec9b303ebc9d),
+        ([3, 96, 52, 0, 1, 32, 512], 0x09e0ec9b303ebc9d),
+        ([8, 256, 144, 0, 0, 176, 256], 0x09e0ec9b303ebc9d),
+        ([8, 256, 144, 0, 0, 176, 256], 0x09e0ec9b303ebc9d),
+        ([3, 96, 60, 0, 0, 32, 1024], 0x09e0ec9b303ebc9d),
+        ([3, 96, 52, 0, 1, 32, 1024], 0x09e0ec9b303ebc9d),
+        ([8, 256, 144, 0, 0, 176, 512], 0x09e0ec9b303ebc9d),
+        ([8, 256, 144, 0, 0, 176, 512], 0x09e0ec9b303ebc9d),
+        ([26, 832, 692, 0, 0, 208, 512], 0xe4234dcd96fbb035),
+        ([26, 832, 676, 0, 2, 208, 512], 0x032a23b61685a37e),
+        ([96, 3072, 1872, 0, 0, 2176, 256], 0xe4234dcd96fbb035),
+        ([96, 3072, 1872, 0, 0, 2176, 256], 0xe4234dcd96fbb035),
+        ([26, 832, 692, 0, 0, 208, 1024], 0xe4234dcd96fbb035),
+        ([26, 832, 676, 0, 2, 208, 1024], 0x032a23b61685a37e),
+        ([96, 3072, 1872, 0, 0, 2176, 512], 0xe4234dcd96fbb035),
+        ([96, 3072, 1872, 0, 0, 2176, 512], 0xe4234dcd96fbb035),
+    ];
+
+    #[test]
+    fn cpu_accounting_is_pinned() {
+        // Every worker count, granularity and fusion level on three
+        // workloads, pinned exactly: the chunk loop may change shape, but
+        // not one stage, visit, gate, buffer byte or amplitude bit.
+        use crate::config::FusionLevel;
+        let circuits = [
+            library::qft(8),
+            library::ghz(8),
+            library::random_circuit(8, 8, 5),
+        ];
+        let mut golden = GOLDEN.iter();
+        for c in &circuits {
+            for workers in [1usize, 2] {
+                for granularity in [Granularity::Staged, Granularity::PerGate] {
+                    for fusion in [FusionLevel::Off, FusionLevel::Blocks2q] {
+                        let config = MemQSimConfig {
+                            workers,
+                            fusion,
+                            ..testkit::cfg(3, CodecSpec::Fpc)
+                        };
+                        let store = testkit::zero_store(8, 3, &config);
+                        let r = run(&store, c, &config, granularity).unwrap();
+                        let got = (
+                            [
+                                r.stages,
+                                r.chunk_visits,
+                                r.gates_applied,
+                                r.scalars_applied,
+                                r.gates_fused,
+                                r.groups_cpu,
+                                r.peak_buffer_bytes,
+                            ],
+                            state_hash(&store.to_dense().unwrap()),
+                        );
+                        let want = golden.next().expect("one golden row per run");
+                        assert_eq!(
+                            got,
+                            *want,
+                            "{}, workers {workers}, {granularity:?}, {fusion:?}",
+                            c.name()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(golden.next().is_none());
+    }
+
     #[test]
     fn adder_works_chunked() {
         let n_bits = 2;
