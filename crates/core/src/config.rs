@@ -75,62 +75,6 @@ pub enum LayoutPolicy {
     Greedy,
 }
 
-/// Per-role thread counts for the pipelined CPU executor
-/// ([`CpuWorkerExecutor`](crate::engine::cpu::CpuWorkerExecutor) with
-/// `pipeline_depth > 1`): decoder pool → apply pool → encoder pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSplit {
-    /// Threads decompressing chunk groups into working buffers.
-    pub decode: usize,
-    /// Threads applying the stage's specialized gates.
-    pub apply: usize,
-    /// Threads recompressing finished groups back into the store.
-    pub encode: usize,
-}
-
-impl WorkerSplit {
-    /// A split with explicit per-role counts (each must be >= 1 to pass
-    /// [`MemQSimConfig::validate`]).
-    pub fn new(decode: usize, apply: usize, encode: usize) -> WorkerSplit {
-        WorkerSplit {
-            decode,
-            apply,
-            encode,
-        }
-    }
-
-    /// The default split for `workers` total threads, clamped to the
-    /// machine: a request larger than
-    /// [`std::thread::available_parallelism`] is cut down to the hardware
-    /// thread count before splitting, so oversubscribed configs don't
-    /// schedule three oversized pools onto a small box.
-    pub fn auto(workers: usize) -> WorkerSplit {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        WorkerSplit::auto_for_cores(workers, cores)
-    }
-
-    /// The split [`auto`](Self::auto) would pick on a machine with `cores`
-    /// hardware threads. Codec work dominates the chunk loop (decompress +
-    /// recompress are ~85% of busy time in the codec-bound regime), so
-    /// decode and encode each take ~2/5 of the clamped budget and apply
-    /// gets the remainder; every role keeps at least one thread, so the
-    /// 1-core degenerate split is `(1, 1, 1)`.
-    pub fn auto_for_cores(workers: usize, cores: usize) -> WorkerSplit {
-        let workers = workers.min(cores.max(1));
-        let codec_side = (2 * workers).div_ceil(5).max(1);
-        WorkerSplit {
-            decode: codec_side,
-            apply: workers.saturating_sub(2 * codec_side).max(1),
-            encode: codec_side,
-        }
-    }
-
-    /// Total threads across the three roles.
-    pub fn total(&self) -> usize {
-        self.decode + self.apply + self.encode
-    }
-}
-
 /// Configuration shared by the MEMQSIM engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemQSimConfig {
@@ -147,17 +91,6 @@ pub struct MemQSimConfig {
     /// In-flight staging buffers for the hybrid pipeline (2 = classic
     /// double buffering).
     pub pipeline_buffers: usize,
-    /// In-flight chunk-group budget for the CPU worker pipeline: at most
-    /// this many decompressed groups exist at once across the decode →
-    /// apply → encode pools. `1` (the default) is the serial chunk loop;
-    /// larger depths overlap the three roles at the cost of
-    /// `pipeline_depth × group_bytes` of working buffers.
-    pub pipeline_depth: usize,
-    /// Per-role thread counts for the pipelined CPU path. `None` (the
-    /// default) derives a codec-heavy split from `workers` via
-    /// [`WorkerSplit::auto`]. Ignored at `pipeline_depth == 1`, where
-    /// `workers` drives the flat group-parallel loop instead.
-    pub worker_split: Option<WorkerSplit>,
     /// Fraction of chunk groups updated on the CPU instead of the device
     /// in the hybrid engine (0.0 = all device, 1.0 = all CPU).
     pub cpu_share: f64,
@@ -213,8 +146,6 @@ impl Default for MemQSimConfig {
             codec: CodecSpec::Sz { eb: 1e-10 },
             workers: 1,
             pipeline_buffers: 2,
-            pipeline_depth: 1,
-            worker_split: None,
             cpu_share: 0.0,
             dual_stream: false,
             reorder: false,
@@ -269,18 +200,6 @@ impl MemQSimConfig {
         }
         if self.pipeline_buffers == 0 {
             return Err("pipeline_buffers must be >= 1".into());
-        }
-        if self.pipeline_depth == 0 {
-            return Err("pipeline_depth must be >= 1 (1 = serial chunk loop)".into());
-        }
-        if let Some(split) = self.worker_split {
-            if split.decode == 0 || split.apply == 0 || split.encode == 0 {
-                return Err(format!(
-                    "worker_split needs >= 1 thread per role, got \
-                     decode {} / apply {} / encode {}",
-                    split.decode, split.apply, split.encode
-                ));
-            }
         }
         if !(0.0..=1.0).contains(&self.cpu_share) {
             return Err(format!("cpu_share {} outside [0, 1]", self.cpu_share));
@@ -345,20 +264,6 @@ impl MemQSimConfigBuilder {
     /// In-flight staging buffers for the hybrid pipeline.
     pub fn pipeline_buffers(mut self, pipeline_buffers: usize) -> Self {
         self.cfg.pipeline_buffers = pipeline_buffers;
-        self
-    }
-
-    /// In-flight chunk-group budget for the CPU worker pipeline
-    /// (1 = serial chunk loop).
-    pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.cfg.pipeline_depth = pipeline_depth;
-        self
-    }
-
-    /// Explicit per-role thread counts for the pipelined CPU path
-    /// (otherwise derived from `workers` via [`WorkerSplit::auto`]).
-    pub fn worker_split(mut self, split: WorkerSplit) -> Self {
-        self.cfg.worker_split = Some(split);
         self
     }
 
@@ -475,14 +380,6 @@ mod tests {
                 ..Default::default()
             },
             MemQSimConfig {
-                pipeline_depth: 0,
-                ..Default::default()
-            },
-            MemQSimConfig {
-                worker_split: Some(WorkerSplit::new(2, 0, 2)),
-                ..Default::default()
-            },
-            MemQSimConfig {
                 cpu_share: 1.5,
                 ..Default::default()
             },
@@ -533,8 +430,6 @@ mod tests {
             .codec(CodecSpec::Fpc)
             .workers(2)
             .pipeline_buffers(4)
-            .pipeline_depth(3)
-            .worker_split(WorkerSplit::new(2, 1, 2))
             .cpu_share(0.5)
             .dual_stream(true)
             .reorder(true)
@@ -564,8 +459,6 @@ mod tests {
                 codec: CodecSpec::Fpc,
                 workers: 2,
                 pipeline_buffers: 4,
-                pipeline_depth: 3,
-                worker_split: Some(WorkerSplit::new(2, 1, 2)),
                 cpu_share: 0.5,
                 dual_stream: true,
                 reorder: true,
@@ -602,16 +495,6 @@ mod tests {
         assert!(MemQSimConfig::builder().max_high_qubits(0).build().is_err());
         let err = MemQSimConfig::builder().cpu_share(2.0).build().unwrap_err();
         assert!(err.contains("cpu_share"), "{err}");
-        let err = MemQSimConfig::builder()
-            .pipeline_depth(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("pipeline_depth"), "{err}");
-        let err = MemQSimConfig::builder()
-            .worker_split(WorkerSplit::new(0, 1, 1))
-            .build()
-            .unwrap_err();
-        assert!(err.contains("worker_split"), "{err}");
         let err = MemQSimConfig::builder().devices(0).build().unwrap_err();
         assert!(err.contains("devices"), "{err}");
         let err = MemQSimConfig::builder()
@@ -624,50 +507,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("Precision::Adaptive"), "{err}");
-    }
-
-    #[test]
-    fn auto_split_keeps_every_role_alive_and_favors_codec() {
-        for workers in 1..=16usize {
-            let split = WorkerSplit::auto_for_cores(workers, 64);
-            assert!(split.decode >= 1 && split.apply >= 1 && split.encode >= 1);
-            assert_eq!(split.decode, split.encode, "codec roles are symmetric");
-            assert!(split.apply <= split.decode.max(1) * 2);
-        }
-        // At least `workers` threads total once there is room to split.
-        assert_eq!(
-            WorkerSplit::auto_for_cores(1, 64),
-            WorkerSplit::new(1, 1, 1)
-        );
-        assert_eq!(
-            WorkerSplit::auto_for_cores(5, 64),
-            WorkerSplit::new(2, 1, 2)
-        );
-        assert_eq!(
-            WorkerSplit::auto_for_cores(10, 64),
-            WorkerSplit::new(4, 2, 4)
-        );
-    }
-
-    #[test]
-    fn auto_split_clamps_the_pool_to_the_machine() {
-        // An oversubscribed request on a 1-core box degenerates to one
-        // thread per role — the smallest split that keeps the pipeline
-        // stages alive.
-        assert_eq!(WorkerSplit::auto_for_cores(8, 1), WorkerSplit::new(1, 1, 1));
-        // Clamping to `cores` is the same as asking for `cores` outright.
-        assert_eq!(
-            WorkerSplit::auto_for_cores(10, 5),
-            WorkerSplit::auto_for_cores(5, 64)
-        );
-        // A request that fits is untouched by the clamp.
-        assert_eq!(
-            WorkerSplit::auto_for_cores(5, 64),
-            WorkerSplit::new(2, 1, 2)
-        );
-        // `auto` itself never plans more threads than the machine has,
-        // modulo the one-thread-per-role floor.
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert!(WorkerSplit::auto(usize::MAX).total() <= cores.max(3));
     }
 }

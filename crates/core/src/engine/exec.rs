@@ -15,8 +15,7 @@
 //!
 //! * [`CpuWorkerExecutor`](super::cpu::CpuWorkerExecutor) — "idle core"
 //!   workers decompress → apply → recompress each group (paper Fig. 2
-//!   step 5), overlapped across a bounded in-flight window when
-//!   `cfg.pipeline_depth > 1`;
+//!   step 5), `cfg.workers` groups at a time;
 //! * [`DevicePipelineExecutor`](super::hybrid::DevicePipelineExecutor) —
 //!   the three-role producer/device/completer pipeline (Fig. 2 steps 1–6),
 //!   which buffers a stage's submissions and runs them at the barrier.
@@ -41,6 +40,7 @@ use mq_num::parallel::par_for;
 use mq_num::Complex64;
 use mq_telemetry::{Counter, Role, StageErrorSpend, Telemetry};
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -164,9 +164,8 @@ pub trait ChunkExecutor {
         Ok(())
     }
 
-    /// Accepts one chunk group of the open stage. May block while the
-    /// executor's in-flight window is full (backpressure), and may return
-    /// an error detected on any *previously* submitted group.
+    /// Accepts one chunk group of the open stage. May return an error
+    /// detected on any *previously* submitted group.
     fn submit(&mut self, ctx: &ExecContext, group: GroupWork) -> Result<(), EngineError>;
 
     /// Stage barrier: drains every in-flight group of stage `index`,
@@ -600,38 +599,8 @@ pub(crate) struct ApplyCounters {
     pub(crate) scalars: AtomicUsize,
 }
 
-/// Decompresses `group`'s chunks into consecutive `chunk_amps`-sized slots
-/// of `buffer` (no telemetry span — callers hold the right role span).
-pub(crate) fn load_group(
-    store: &dyn ChunkStore,
-    group: &[usize],
-    buffer: &mut [Complex64],
-    chunk_amps: usize,
-) -> Result<(), EngineError> {
-    for (j, &chunk) in group.iter().enumerate() {
-        store.load_chunk(chunk, &mut buffer[j * chunk_amps..(j + 1) * chunk_amps])?;
-    }
-    Ok(())
-}
-
-/// Recompresses `group`'s chunks from consecutive `chunk_amps`-sized slots
-/// of `buffer` (no telemetry span — callers hold the right role span).
-pub(crate) fn store_group(
-    store: &dyn ChunkStore,
-    group: &[usize],
-    buffer: &[Complex64],
-    chunk_amps: usize,
-) -> Result<(), EngineError> {
-    for (j, &chunk) in group.iter().enumerate() {
-        store.store_chunk(chunk, &buffer[j * chunk_amps..(j + 1) * chunk_amps])?;
-    }
-    Ok(())
-}
-
 /// Applies one stage's gates, specialized for the group based at
-/// `base_chunk`, to a decompressed group `buffer` — the single apply body
-/// behind the serial loop and the pipelined apply pool, so both paths
-/// count gates/scalars and save passes identically.
+/// `base_chunk`, to a decompressed group `buffer`.
 pub(crate) fn apply_stage_to_group(
     stage: &Stage,
     chunk_bits: u32,
@@ -694,8 +663,11 @@ pub(crate) fn apply_stage_to_group(
 
 /// Processes a slice of one stage's groups entirely on CPU workers:
 /// decompress → specialize+apply → recompress, distributed with `par_for`.
-/// The single implementation behind the serial CPU executor path and the
-/// hybrid executor's "idle core" share (paper Fig. 2 step 5).
+/// The single implementation behind the CPU executor and the hybrid
+/// executor's "idle core" share (paper Fig. 2 step 5). A panic inside one
+/// group is caught at the group boundary (`par_for` runs inline at one
+/// worker, so a thread-level catch would miss it) and becomes the stage's
+/// [`EngineError::WorkerPanicked`].
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
     stage: &Stage,
@@ -706,19 +678,15 @@ pub(crate) fn process_groups_on_cpu(
     let chunk_amps = ctx.chunk_amps();
     let chunk_bits = ctx.plan.chunk_bits;
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-    par_for(groups.len(), ctx.cfg.workers, |gi| {
-        if first_error.lock().is_some() {
-            return;
-        }
-        let group = &groups[gi];
+    let process = |group: &[usize]| -> Result<(), EngineError> {
         let mut buffer = vec![Complex64::ZERO; group.len() * chunk_amps];
 
         // Decompress members into their buffer slots.
         {
             let _span = ctx.telemetry.stage_span(Role::Decompress, index);
-            if let Err(e) = load_group(&*ctx.store, group, &mut buffer, chunk_amps) {
-                *first_error.lock() = Some(e);
-                return;
+            for (j, &chunk) in group.iter().enumerate() {
+                ctx.store
+                    .load_chunk(chunk, &mut buffer[j * chunk_amps..(j + 1) * chunk_amps])?;
             }
         }
 
@@ -738,8 +706,20 @@ pub(crate) fn process_groups_on_cpu(
 
         // Recompress.
         let _span = ctx.telemetry.stage_span(Role::Recompress, index);
-        if let Err(e) = store_group(&*ctx.store, group, &buffer, chunk_amps) {
-            *first_error.lock() = Some(e);
+        for (j, &chunk) in group.iter().enumerate() {
+            ctx.store
+                .store_chunk(chunk, &buffer[j * chunk_amps..(j + 1) * chunk_amps])?;
+        }
+        Ok(())
+    };
+    par_for(groups.len(), ctx.cfg.workers, |gi| {
+        if first_error.lock().is_some() {
+            return;
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| process(&groups[gi])))
+            .unwrap_or_else(|payload| Err(EngineError::from_panic(payload)));
+        if let Err(e) = result {
+            first_error.lock().get_or_insert(e);
         }
     });
     match first_error.into_inner() {

@@ -46,6 +46,7 @@ use mq_device::{Device, DeviceBuffer, PayloadCell, PinnedBuffer, Stream, StreamS
 use mq_num::Complex64;
 use mq_telemetry::{DeviceLane, Role};
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -380,314 +381,327 @@ impl ChunkExecutor for DevicePipelineExecutor<'_> {
         let stage_groups_device = AtomicUsize::new(0);
         let error: Mutex<Option<EngineError>> = Mutex::new(None);
 
-        crossbeam::thread::scope(|scope| {
-            // One issuer/completer pair — and one private slot pool — per
-            // fleet device; the producer below routes each group to the
-            // device its shard names.
-            let mut to_device_txs = Vec::with_capacity(n_dev);
-            let mut pool_rxs = Vec::with_capacity(n_dev);
-            let mut drain_ack_rxs = Vec::with_capacity(n_dev);
-            for di in 0..n_dev {
-                let (to_device_tx, to_device_rx) = bounded::<ToDevice>(slots);
-                let (to_completer_tx, to_completer_rx) = bounded::<ToCompleter>(slots);
-                let (pool_tx, pool_rx) = bounded::<usize>(slots);
-                let (drain_ack_tx, drain_ack_rx) = bounded::<()>(1);
-                for i in 0..slots {
-                    pool_tx.send(i).expect("pool has capacity");
-                }
-                to_device_txs.push(to_device_tx);
-                pool_rxs.push(pool_rx);
-                drain_ack_rxs.push(drain_ack_rx);
+        // A panic on any role (the producer runs on this thread) unwinds
+        // the scope, which drops every channel end and joins the lanes; it
+        // surfaces as the stage's error instead of crossing the caller.
+        let scoped = catch_unwind(AssertUnwindSafe(|| {
+            crossbeam::thread::scope(|scope| {
+                // One issuer/completer pair — and one private slot pool — per
+                // fleet device; the producer below routes each group to the
+                // device its shard names.
+                let mut to_device_txs = Vec::with_capacity(n_dev);
+                let mut pool_rxs = Vec::with_capacity(n_dev);
+                let mut drain_ack_rxs = Vec::with_capacity(n_dev);
+                for di in 0..n_dev {
+                    let (to_device_tx, to_device_rx) = bounded::<ToDevice>(slots);
+                    let (to_completer_tx, to_completer_rx) = bounded::<ToCompleter>(slots);
+                    let (pool_tx, pool_rx) = bounded::<usize>(slots);
+                    let (drain_ack_tx, drain_ack_rx) = bounded::<()>(1);
+                    for i in 0..slots {
+                        pool_tx.send(i).expect("pool has capacity");
+                    }
+                    to_device_txs.push(to_device_tx);
+                    pool_rxs.push(pool_rx);
+                    drain_ack_rxs.push(drain_ack_rx);
 
-                // --- device issuer (one per device) -------------------------
-                let issuer_telemetry = telemetry.clone();
-                let issuer_codec = codec.clone();
-                scope.spawn(move |_| {
-                    let lane = &lanes[di];
-                    let pinned = &lane.pinned;
-                    let dev_bufs = &lane.dev_bufs;
-                    let copy_stream = lane.copy_stream.as_ref().expect("prepared");
-                    let extra_streams = lane.extra_streams.as_ref();
-                    while let Ok(msg) = to_device_rx.recv() {
-                        match msg {
-                            ToDevice::Drain => {
-                                if to_completer_tx.send(ToCompleter::Drain).is_err() {
-                                    break;
+                    // --- device issuer (one per device) -------------------------
+                    let issuer_telemetry = telemetry.clone();
+                    let issuer_codec = codec.clone();
+                    scope.spawn(move |_| {
+                        let lane = &lanes[di];
+                        let pinned = &lane.pinned;
+                        let dev_bufs = &lane.dev_bufs;
+                        let copy_stream = lane.copy_stream.as_ref().expect("prepared");
+                        let extra_streams = lane.extra_streams.as_ref();
+                        while let Ok(msg) = to_device_rx.recv() {
+                            match msg {
+                                ToDevice::Drain => {
+                                    if to_completer_tx.send(ToCompleter::Drain).is_err() {
+                                        break;
+                                    }
                                 }
-                            }
-                            ToDevice::Work(mut work) => {
-                                let span =
-                                    issuer_telemetry.stage_span(Role::DeviceIssue, work.stage);
-                                let pb = &pinned[work.slot];
-                                let db = dev_bufs[work.slot];
-                                // Compressed transfer: the payloads go over the
-                                // link as-is and a device-side codec kernel
-                                // inflates them; on the way back, an encode
-                                // kernel folds in the group scalar and the
-                                // payload cells carry the bytes home.
-                                let payloads = work.payloads.take();
-                                let device_codec = payloads.is_some();
-                                let upload = |s: &Stream| match payloads {
-                                    Some(ps) => {
-                                        let codec = issuer_codec.as_ref().expect("codec prepared");
-                                        for (j, p) in ps.into_iter().enumerate() {
-                                            s.decode_chunk(
-                                                p,
-                                                codec,
-                                                db,
-                                                j * chunk_amps,
-                                                chunk_amps,
-                                            );
-                                        }
-                                    }
-                                    None => s.h2d(pb, 0, db, 0, work.amps),
-                                };
-                                let download = |s: &Stream, work: &mut Work| {
-                                    if device_codec {
-                                        let codec = issuer_codec.as_ref().expect("codec prepared");
-                                        for j in 0..work.group.len() {
-                                            work.cells.push(s.encode_chunk(
-                                                db,
-                                                j * chunk_amps,
-                                                chunk_amps,
-                                                work.scalar,
-                                                codec,
-                                            ));
-                                        }
-                                    } else {
-                                        s.d2h(db, 0, pb, 0, work.amps);
-                                    }
-                                };
-                                let event = match extra_streams {
-                                    // Multi-stream: uploads, kernels and downloads
-                                    // each get their own in-order stream, linked by
-                                    // events, so group k+1's H2D overlaps group k's
-                                    // kernels and group k-1's D2H — the paper's
-                                    // step (3): kernels run "asynchronously during
-                                    // the CPU-GPU data transfer".
-                                    Some((compute, down)) => {
-                                        upload(copy_stream);
-                                        let uploaded = copy_stream.record_event();
-                                        compute.wait_event(&uploaded);
-                                        if fuse_kernels {
-                                            compute.run_fused_gates_region(
-                                                db,
-                                                work.amps,
-                                                work.gates.clone(),
-                                            );
-                                        } else {
-                                            for g in &work.gates {
-                                                compute.run_gate_region(db, work.amps, g.clone());
-                                            }
-                                        }
-                                        let kernels_done = compute.record_event();
-                                        down.wait_event(&kernels_done);
-                                        download(down, &mut work);
-                                        down.record_event()
-                                    }
-                                    None => {
-                                        upload(copy_stream);
-                                        if fuse_kernels {
-                                            // One batched kernel over the leading
-                                            // `amps` region of the slot buffer.
-                                            copy_stream.run_fused_gates_region(
-                                                db,
-                                                work.amps,
-                                                work.gates.clone(),
-                                            );
-                                        } else {
-                                            for g in &work.gates {
-                                                // The kernel operates on the leading
-                                                // `amps` region of the slot buffer.
-                                                copy_stream.run_gate_region(
+                                ToDevice::Work(mut work) => {
+                                    let span =
+                                        issuer_telemetry.stage_span(Role::DeviceIssue, work.stage);
+                                    let pb = &pinned[work.slot];
+                                    let db = dev_bufs[work.slot];
+                                    // Compressed transfer: the payloads go over the
+                                    // link as-is and a device-side codec kernel
+                                    // inflates them; on the way back, an encode
+                                    // kernel folds in the group scalar and the
+                                    // payload cells carry the bytes home.
+                                    let payloads = work.payloads.take();
+                                    let device_codec = payloads.is_some();
+                                    let upload = |s: &Stream| match payloads {
+                                        Some(ps) => {
+                                            let codec =
+                                                issuer_codec.as_ref().expect("codec prepared");
+                                            for (j, p) in ps.into_iter().enumerate() {
+                                                s.decode_chunk(
+                                                    p,
+                                                    codec,
                                                     db,
-                                                    work.amps,
-                                                    g.clone(),
+                                                    j * chunk_amps,
+                                                    chunk_amps,
                                                 );
                                             }
                                         }
-                                        download(copy_stream, &mut work);
-                                        copy_stream.record_event()
-                                    }
-                                };
-                                // Close before the send: a full channel is
-                                // backpressure wait, not device-issue work.
-                                drop(span);
-                                if to_completer_tx
-                                    .send(ToCompleter::Work(work, event))
-                                    .is_err()
-                                {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                });
-
-                // --- completer / recompressor (one per device) --------------
-                let stage_groups_device_ref = &stage_groups_device;
-                let completer_telemetry = telemetry.clone();
-                let completer_codec = codec.clone();
-                let completer_error = &error;
-                scope.spawn(move |_| {
-                    let pinned = &lanes[di].pinned;
-                    while let Ok(msg) = to_completer_rx.recv() {
-                        match msg {
-                            ToCompleter::Drain => {
-                                if drain_ack_tx.send(()).is_err() {
-                                    break;
-                                }
-                            }
-                            ToCompleter::Work(work, event) => {
-                                // Waiting on the device is idle time, not
-                                // recompress work; the span opens only once
-                                // results are back.
-                                event.wait();
-                                let _span =
-                                    completer_telemetry.stage_span(Role::Recompress, work.stage);
-                                if work.cells.is_empty() {
-                                    // Raw path: scalar-fold on the host, then
-                                    // recompress chunk by chunk.
-                                    let mut failed = None;
-                                    pinned[work.slot].write(|data| {
-                                        if work.scalar != Complex64::ONE {
-                                            for z in &mut data[..work.amps] {
-                                                *z *= work.scalar;
+                                        None => s.h2d(pb, 0, db, 0, work.amps),
+                                    };
+                                    let download = |s: &Stream, work: &mut Work| {
+                                        if device_codec {
+                                            let codec =
+                                                issuer_codec.as_ref().expect("codec prepared");
+                                            for j in 0..work.group.len() {
+                                                work.cells.push(s.encode_chunk(
+                                                    db,
+                                                    j * chunk_amps,
+                                                    chunk_amps,
+                                                    work.scalar,
+                                                    codec,
+                                                ));
                                             }
+                                        } else {
+                                            s.d2h(db, 0, pb, 0, work.amps);
                                         }
-                                        for (j, &chunk) in work.group.iter().enumerate() {
-                                            if let Err(e) = store.store_chunk(
-                                                chunk,
-                                                &data[j * chunk_amps..(j + 1) * chunk_amps],
-                                            ) {
-                                                failed = Some(e);
-                                                return;
+                                    };
+                                    let event = match extra_streams {
+                                        // Multi-stream: uploads, kernels and downloads
+                                        // each get their own in-order stream, linked by
+                                        // events, so group k+1's H2D overlaps group k's
+                                        // kernels and group k-1's D2H — the paper's
+                                        // step (3): kernels run "asynchronously during
+                                        // the CPU-GPU data transfer".
+                                        Some((compute, down)) => {
+                                            upload(copy_stream);
+                                            let uploaded = copy_stream.record_event();
+                                            compute.wait_event(&uploaded);
+                                            if fuse_kernels {
+                                                compute.run_fused_gates_region(
+                                                    db,
+                                                    work.amps,
+                                                    work.gates.clone(),
+                                                );
+                                            } else {
+                                                for g in &work.gates {
+                                                    compute.run_gate_region(
+                                                        db,
+                                                        work.amps,
+                                                        g.clone(),
+                                                    );
+                                                }
                                             }
+                                            let kernels_done = compute.record_event();
+                                            down.wait_event(&kernels_done);
+                                            download(down, &mut work);
+                                            down.record_event()
                                         }
-                                    });
-                                    if let Some(e) = failed {
-                                        completer_error.lock().get_or_insert(e.into());
+                                        None => {
+                                            upload(copy_stream);
+                                            if fuse_kernels {
+                                                // One batched kernel over the leading
+                                                // `amps` region of the slot buffer.
+                                                copy_stream.run_fused_gates_region(
+                                                    db,
+                                                    work.amps,
+                                                    work.gates.clone(),
+                                                );
+                                            } else {
+                                                for g in &work.gates {
+                                                    // The kernel operates on the leading
+                                                    // `amps` region of the slot buffer.
+                                                    copy_stream.run_gate_region(
+                                                        db,
+                                                        work.amps,
+                                                        g.clone(),
+                                                    );
+                                                }
+                                            }
+                                            download(copy_stream, &mut work);
+                                            copy_stream.record_event()
+                                        }
+                                    };
+                                    // Close before the send: a full channel is
+                                    // backpressure wait, not device-issue work.
+                                    drop(span);
+                                    if to_completer_tx
+                                        .send(ToCompleter::Work(work, event))
+                                        .is_err()
+                                    {
+                                        break;
                                     }
-                                } else if let Err(e) = complete_compressed(
-                                    store,
-                                    &work,
-                                    chunk_amps,
-                                    completer_codec.as_ref().expect("codec prepared"),
-                                ) {
-                                    completer_error.lock().get_or_insert(e);
-                                }
-                                stage_groups_device_ref.fetch_add(1, Ordering::Relaxed);
-                                lane_groups[di].fetch_add(1, Ordering::Relaxed);
-                                let _ = pool_tx.send(work.slot);
-                            }
-                        }
-                    }
-                });
-            }
-
-            // --- producer (this thread): decompress + specialize ------------
-            'groups: for (group, &shard) in dev_groups.iter().zip(dev_shards) {
-                if error.lock().is_some() {
-                    break 'groups;
-                }
-                // The driver's shard policy names the device; guard against
-                // a config/fleet mismatch rather than indexing out of range.
-                let di = shard % n_dev;
-                // Acquire a staging slot from that device's pool (poll so a
-                // dead completer cannot wedge the producer).
-                let slot = loop {
-                    match pool_rxs[di].recv_timeout(Duration::from_millis(50)) {
-                        Ok(s) => break s,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if error.lock().is_some() {
-                                break 'groups;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break 'groups,
-                    }
-                };
-                let amps = group.len() * chunk_amps;
-                let mut payloads = None;
-                let mut failed = None;
-                {
-                    let _span = telemetry.stage_span(Role::Decompress, si);
-                    // Compressed transfer skips the host decode entirely:
-                    // the stored payloads ship as-is. A refusing tier
-                    // (e.g. a codec-less dense store) drops the whole
-                    // group back to raw staging.
-                    if compressed_mode {
-                        match fetch_payloads(store, group) {
-                            Ok(ps) => payloads = ps,
-                            Err(e) => failed = Some(e),
-                        }
-                    }
-                    if failed.is_none() && payloads.is_none() {
-                        lanes[di].pinned[slot].write(|data| {
-                            for (j, &chunk) in group.iter().enumerate() {
-                                if let Err(e) = store.load_chunk(
-                                    chunk,
-                                    &mut data[j * chunk_amps..(j + 1) * chunk_amps],
-                                ) {
-                                    failed = Some(e);
-                                    return;
                                 }
                             }
-                        });
-                    }
-                }
-                if let Some(e) = failed {
-                    *error.lock() = Some(e.into());
-                    break 'groups;
+                        }
+                    });
+
+                    // --- completer / recompressor (one per device) --------------
+                    let stage_groups_device_ref = &stage_groups_device;
+                    let completer_telemetry = telemetry.clone();
+                    let completer_codec = codec.clone();
+                    let completer_error = &error;
+                    scope.spawn(move |_| {
+                        let pinned = &lanes[di].pinned;
+                        while let Ok(msg) = to_completer_rx.recv() {
+                            match msg {
+                                ToCompleter::Drain => {
+                                    if drain_ack_tx.send(()).is_err() {
+                                        break;
+                                    }
+                                }
+                                ToCompleter::Work(work, event) => {
+                                    // Waiting on the device is idle time, not
+                                    // recompress work; the span opens only once
+                                    // results are back.
+                                    event.wait();
+                                    let _span = completer_telemetry
+                                        .stage_span(Role::Recompress, work.stage);
+                                    if work.cells.is_empty() {
+                                        // Raw path: scalar-fold on the host, then
+                                        // recompress chunk by chunk.
+                                        let mut failed = None;
+                                        pinned[work.slot].write(|data| {
+                                            if work.scalar != Complex64::ONE {
+                                                for z in &mut data[..work.amps] {
+                                                    *z *= work.scalar;
+                                                }
+                                            }
+                                            for (j, &chunk) in work.group.iter().enumerate() {
+                                                if let Err(e) = store.store_chunk(
+                                                    chunk,
+                                                    &data[j * chunk_amps..(j + 1) * chunk_amps],
+                                                ) {
+                                                    failed = Some(e);
+                                                    return;
+                                                }
+                                            }
+                                        });
+                                        if let Some(e) = failed {
+                                            completer_error.lock().get_or_insert(e.into());
+                                        }
+                                    } else if let Err(e) = complete_compressed(
+                                        store,
+                                        &work,
+                                        chunk_amps,
+                                        completer_codec.as_ref().expect("codec prepared"),
+                                    ) {
+                                        completer_error.lock().get_or_insert(e);
+                                    }
+                                    stage_groups_device_ref.fetch_add(1, Ordering::Relaxed);
+                                    lane_groups[di].fetch_add(1, Ordering::Relaxed);
+                                    let _ = pool_tx.send(work.slot);
+                                }
+                            }
+                        }
+                    });
                 }
 
-                let gctx = GroupContext {
-                    chunk_bits,
-                    high: &stage.high_qubits,
-                    base_chunk: group[0],
-                };
-                let mut gates = Vec::new();
-                let mut scalar = Complex64::ONE;
-                for gate in &stage.gates {
-                    match specialize(gate, &gctx) {
-                        Specialized::Skip => {}
-                        Specialized::Scalar(s) => {
-                            scalar *= s;
-                            scalar_counter.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Specialized::Apply(g) => gates.push(g),
-                    }
-                }
-                gate_counter.fetch_add(gates.len(), Ordering::Relaxed);
-                let work = Work {
-                    group: group.clone(),
-                    amps,
-                    slot,
-                    stage: si,
-                    gates,
-                    scalar,
-                    payloads,
-                    cells: Vec::new(),
-                };
-                if to_device_txs[di].send(ToDevice::Work(work)).is_err() {
-                    break 'groups;
-                }
-                if !pipelined {
-                    // Serial ablation: drain that device's pipeline after
-                    // every group (only one lane is ever in flight, so the
-                    // no-role-overlap invariant survives the fleet).
-                    if to_device_txs[di].send(ToDevice::Drain).is_err() {
+                // --- producer (this thread): decompress + specialize ------------
+                'groups: for (group, &shard) in dev_groups.iter().zip(dev_shards) {
+                    if error.lock().is_some() {
                         break 'groups;
                     }
-                    if drain_ack_rxs[di].recv().is_err() {
+                    // The driver's shard policy names the device; guard against
+                    // a config/fleet mismatch rather than indexing out of range.
+                    let di = shard % n_dev;
+                    // Acquire a staging slot from that device's pool (poll so a
+                    // dead completer cannot wedge the producer).
+                    let slot = loop {
+                        match pool_rxs[di].recv_timeout(Duration::from_millis(50)) {
+                            Ok(s) => break s,
+                            Err(RecvTimeoutError::Timeout) => {
+                                if error.lock().is_some() {
+                                    break 'groups;
+                                }
+                            }
+                            Err(RecvTimeoutError::Disconnected) => break 'groups,
+                        }
+                    };
+                    let amps = group.len() * chunk_amps;
+                    let mut payloads = None;
+                    let mut failed = None;
+                    {
+                        let _span = telemetry.stage_span(Role::Decompress, si);
+                        // Compressed transfer skips the host decode entirely:
+                        // the stored payloads ship as-is. A refusing tier
+                        // (e.g. a codec-less dense store) drops the whole
+                        // group back to raw staging.
+                        if compressed_mode {
+                            match fetch_payloads(store, group) {
+                                Ok(ps) => payloads = ps,
+                                Err(e) => failed = Some(e),
+                            }
+                        }
+                        if failed.is_none() && payloads.is_none() {
+                            lanes[di].pinned[slot].write(|data| {
+                                for (j, &chunk) in group.iter().enumerate() {
+                                    if let Err(e) = store.load_chunk(
+                                        chunk,
+                                        &mut data[j * chunk_amps..(j + 1) * chunk_amps],
+                                    ) {
+                                        failed = Some(e);
+                                        return;
+                                    }
+                                }
+                            });
+                        }
+                    }
+                    if let Some(e) = failed {
+                        *error.lock() = Some(e.into());
                         break 'groups;
                     }
+
+                    let gctx = GroupContext {
+                        chunk_bits,
+                        high: &stage.high_qubits,
+                        base_chunk: group[0],
+                    };
+                    let mut gates = Vec::new();
+                    let mut scalar = Complex64::ONE;
+                    for gate in &stage.gates {
+                        match specialize(gate, &gctx) {
+                            Specialized::Skip => {}
+                            Specialized::Scalar(s) => {
+                                scalar *= s;
+                                scalar_counter.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Specialized::Apply(g) => gates.push(g),
+                        }
+                    }
+                    gate_counter.fetch_add(gates.len(), Ordering::Relaxed);
+                    let work = Work {
+                        group: group.clone(),
+                        amps,
+                        slot,
+                        stage: si,
+                        gates,
+                        scalar,
+                        payloads,
+                        cells: Vec::new(),
+                    };
+                    if to_device_txs[di].send(ToDevice::Work(work)).is_err() {
+                        break 'groups;
+                    }
+                    if !pipelined {
+                        // Serial ablation: drain that device's pipeline after
+                        // every group (only one lane is ever in flight, so the
+                        // no-role-overlap invariant survives the fleet).
+                        if to_device_txs[di].send(ToDevice::Drain).is_err() {
+                            break 'groups;
+                        }
+                        if drain_ack_rxs[di].recv().is_err() {
+                            break 'groups;
+                        }
+                    }
                 }
-            }
-            // Stage barrier: dropping the senders winds every lane down and
-            // the scope join waits for all roles to finish.
-            drop(to_device_txs);
-        })
-        .expect("pipeline thread panicked");
+                // Stage barrier: dropping the senders winds every lane down and
+                // the scope join waits for all roles to finish.
+                drop(to_device_txs);
+            })
+        }));
+        if let Err(payload) | Ok(Err(payload)) = scoped {
+            error.lock().get_or_insert(EngineError::from_panic(payload));
+        }
 
         self.groups_device += stage_groups_device.into_inner();
         match error.into_inner() {

@@ -65,6 +65,8 @@ pub enum EngineError {
         /// Tolerance the comparison was run with.
         tol: f64,
     },
+    /// A worker panicked mid-stage; the message is the panic payload.
+    WorkerPanicked(String),
 }
 
 impl fmt::Display for EngineError {
@@ -96,6 +98,7 @@ impl fmt::Display for EngineError {
                 f,
                 "backend '{other}' diverges from '{first}': max amplitude error {max_err:.3e} exceeds tolerance {tol:.3e}"
             ),
+            EngineError::WorkerPanicked(m) => write!(f, "worker panicked: {m}"),
         }
     }
 }
@@ -111,6 +114,21 @@ impl From<CodecError> for EngineError {
 impl From<DeviceError> for EngineError {
     fn from(e: DeviceError) -> Self {
         EngineError::Device(e)
+    }
+}
+
+impl EngineError {
+    /// Wraps a caught panic payload (from `catch_unwind`), keeping its
+    /// message when it is a string.
+    pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+        let msg = match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or("non-string panic payload", |s| s)
+                .to_string(),
+        };
+        EngineError::WorkerPanicked(msg)
     }
 }
 

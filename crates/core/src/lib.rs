@@ -57,7 +57,6 @@ pub use backend::{
 };
 pub use config::{
     FusionLevel, LayoutPolicy, MemQSimConfig, MemQSimConfigBuilder, StoreKind, TransferMode,
-    WorkerSplit,
 };
 pub use engine::{
     run_with_executor, ChunkExecutor, EngineError, ExecContext, ExecutorStats, Granularity,

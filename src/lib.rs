@@ -38,7 +38,6 @@ pub use memqsim_core::{
     Backend, BackendRun, ChunkExecutor, ChunkStore, CompressedCpuBackend, DenseCpuBackend,
     EngineError, FusionLevel, HybridBackend, LayoutPolicy, MemQSim, MemQSimConfig,
     MemQSimConfigBuilder, RunReport, RunTelemetry, StoreCounters, StoreKind, TransferMode,
-    WorkerSplit,
 };
 pub use mq_compress::{CodecSpec, Precision};
 pub use mq_device::{DeviceSpec, DeviceTopology};

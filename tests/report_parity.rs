@@ -157,3 +157,17 @@ fn byte_accounting_is_internally_consistent() {
     // Both runs held the same compressed state at peak (same trajectory).
     assert_eq!(c.peak_compressed_bytes, h.peak_compressed_bytes);
 }
+
+#[test]
+fn serial_run_records_no_role_overlap() {
+    let circuit = library::qft(10);
+    let config = MemQSimConfig {
+        chunk_bits: 4,
+        ..cfg()
+    };
+    let store = build_store(10, &config).expect("store");
+    let r = cpu::run(&store, &circuit, &config, Granularity::Staged).expect("run");
+    assert!(r.telemetry.balanced());
+    assert!(!r.telemetry.has_role_overlap());
+    assert_eq!(r.telemetry.overlap(), std::time::Duration::ZERO);
+}
