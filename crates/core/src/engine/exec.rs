@@ -601,7 +601,7 @@ pub(crate) struct ApplyCounters {
 
 /// Applies one stage's gates, specialized for the group based at
 /// `base_chunk`, to a decompressed group `buffer`.
-pub(crate) fn apply_stage_to_group(
+fn apply_stage_to_group(
     stage: &Stage,
     chunk_bits: u32,
     fusion: FusionLevel,
